@@ -206,14 +206,21 @@ def _load_prep(config: RunConfig):
     return pipeline.prep_circuit(checkpoint), None
 
 
+def _single_p(config: RunConfig) -> float:
+    """The noise level of a command that runs one p; a list is an error, not truncated."""
+    if len(config.p) > 1:
+        raise ValueError(f"--p takes one value here, got {len(config.p)}; sweep --axis p runs a list")
+    return config.p[0] if config.p else 0.0
+
+
 def cmd_evolve(config: RunConfig) -> int:
     """One evolution run; CSV of (x, exact |psi|^2, simulated |psi|^2, eps_mc)."""
+    p = _single_p(config)
     out = _out_dir(config)
     n, t = config.n, config.t
     N = 2 ** n
     prep, initial = _load_prep(config)
     circuit = pipeline.evolution_circuit(n, t, config.mode, prep)
-    p = config.p[0] if config.p else 0.0
     if p > 0.0:
         state = pipeline.simulate_noisy(circuit, p, initial)
     else:
@@ -275,6 +282,14 @@ def _write_sweep(out: Path, name: str, rows: list[pipeline.SweepRow]) -> Path:
     return path
 
 
+def _check_sweep_point_options(config: RunConfig) -> None:
+    """`pipeline.sweep_point` runs the approx circuit on the exact Ricker state, nothing else."""
+    if config.mode not in ("approx", "small-angle", "small_angle"):
+        raise ValueError(f"sweep --axis {config.axis} runs only --mode approx, got {config.mode!r}")
+    if config.prep != "exact":
+        raise ValueError(f"sweep --axis {config.axis} runs only --prep exact, got {config.prep!r}")
+
+
 def _sweep_grid_axis(config: RunConfig, out: Path) -> int:
     """Axis N (noiseless) or p (one curve per noise level): epsilon vs grid size."""
     if config.axis == "N":
@@ -324,12 +339,12 @@ def _sweep_grid_axis(config: RunConfig, out: Path) -> int:
 
 
 def _sweep_time_axis(config: RunConfig, out: Path) -> int:
+    p = _single_p(config)
     t_lo, t_hi = config.t_range or (0.1, 1.0)
     steps = int(round((t_hi - t_lo) / config.dt))
     ts = [t_lo + i * config.dt for i in range(steps + 1)]
     if not ts:
         raise ValueError("empty time axis")
-    p = config.p[0] if config.p else 0.0
     points = [(config.n, t, p) for t in ts]
     rows = _run_points(points, config.workers)
     path = _write_sweep(out, "sweep_t.csv", rows)
@@ -393,6 +408,8 @@ def _sweep_shots_axis(config: RunConfig, out: Path) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
+    if config.axis in ("N", "p", "t"):
+        _check_sweep_point_options(config)
     out = _out_dir(config)
     if config.axis in ("N", "p"):
         return _sweep_grid_axis(config, out)

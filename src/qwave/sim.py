@@ -15,6 +15,12 @@ Noisy runs follow every two-qubit gate with a two-qubit depolarizing channel
     E(rho) = (1 - p) rho + (p / 15) sum_{P != I(x)I} P rho P^dag
 
 over the 15 non-identity two-qubit Paulis; single-qubit gates are noiseless.
+
+One gate kernel, `_apply_gate_array`, serves every path: a diagonal gate (RZ,
+RZZ, CPHASE, DIAG) multiplies the amplitudes by its phases, a dense one (H,
+PHASEDX, a state-prep block) is one matmul over its consecutive target axes.
+An m-qubit density matrix is a 2m-qubit tensor: U acts on the row axes and
+conj(U) on the column axes, or one multiply by d (x) d* for a diagonal gate.
 """
 
 from __future__ import annotations
@@ -76,27 +82,37 @@ class Gate:
     def num_targets(self) -> int:
         return len(self.targets)
 
-    def matrix(self) -> np.ndarray:
-        """Dense 2^k x 2^k matrix; the first target is the more significant bit."""
-        if self.kind == HADAMARD:
-            return _H_MATRIX.copy()
+    def phases(self) -> np.ndarray | None:
+        """The 2^k diagonal entries of a diagonal gate; None for the dense H and PHASEDX."""
         if self.kind == RZ:
             (theta,) = self.params
-            return np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
-        if self.kind == PHASEDX:
-            theta, phi = self.params
-            c, s = math.cos(theta), math.sin(theta)
-            return np.array(
-                [[c, -1j * s * np.exp(-2j * phi)], [-1j * s * np.exp(2j * phi), c]]
-            )
+            return np.exp([-1j * theta, 1j * theta])
         if self.kind == RZZ:
             (theta,) = self.params
             lo, hi = np.exp(-1j * theta), np.exp(1j * theta)
-            return np.diag([lo, hi, hi, lo])
+            return np.array([lo, hi, hi, lo])
         if self.kind == CPHASE:
             (theta,) = self.params
-            return np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)])
-        return np.diag(self.values)
+            return np.array([1.0, 1.0, 1.0, np.exp(1j * theta)])
+        if self.kind == DIAG:
+            return self.values
+        return None
+
+    def matrix(self) -> np.ndarray:
+        """Dense 2^k x 2^k matrix; the first target is the more significant bit."""
+        phases = self.phases()
+        if phases is not None:
+            return np.diag(phases)
+        if self.kind == HADAMARD:
+            return _H_MATRIX.copy()
+        theta, phi = self.params
+        c, s = math.cos(theta), math.sin(theta)
+        return np.array([[c, -1j * s * np.exp(-2j * phi)], [-1j * s * np.exp(2j * phi), c]])
+
+    def operator(self) -> np.ndarray:
+        """What the gate kernel applies: the phases of a diagonal gate, else the dense matrix."""
+        phases = self.phases()
+        return self.matrix() if phases is None else phases
 
     def dagger(self) -> "Gate":
         if self.kind == HADAMARD:
@@ -142,55 +158,47 @@ def _invert_permutation(perm: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=128)
-def _permutation_index(num_qubits: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Destination index for each basis index when wire q's bit moves to wire perm[q]."""
-    src = np.arange(2 ** num_qubits)
-    dst = np.zeros_like(src)
+def _permutation_source(num_qubits: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Source basis index of each destination index when wire q's bit moves to wire perm[q]."""
+    dst = np.arange(2 ** num_qubits)
+    src = np.zeros_like(dst)
     for q in range(num_qubits):
-        bit = (src >> (num_qubits - 1 - q)) & 1
-        dst |= bit << (num_qubits - 1 - perm[q])
-    return dst
+        src |= ((dst >> (num_qubits - 1 - perm[q])) & 1) << (num_qubits - 1 - q)
+    return src
 
 
-def _apply_permutation(amps: np.ndarray, perm: Sequence[int], num_qubits: int) -> np.ndarray:
-    dst = _permutation_index(num_qubits, tuple(perm))
-    out = np.empty_like(amps)
-    out[dst] = amps
-    return out
+def _apply_gate_array(amps: np.ndarray, u: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
+    """The one gate kernel: apply `u` on `targets` of amps, (2^n,) or (2^n, batch), into a new array.
 
-
-def _apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Apply a 2^k x 2^k matrix on `targets`; amps is (2^n,) or (2^n, batch)."""
+    A 1-D `u` holds the 2^k phases of a diagonal gate (first target = most
+    significant bit), broadcast over the target axes in whatever order they
+    come.  A 2-D `u` is a dense matrix on the consecutive targets q..q+k-1,
+    applied by one matmul over the (2^q, 2^k, rest) view.
+    """
+    if min(targets) < 0 or max(targets) >= num_qubits:
+        raise ValueError(f"gate targets {tuple(targets)} out of range for {num_qubits} qubits")
     k = len(targets)
-    shape = amps.shape
-    vec = amps.reshape([2] * num_qubits + [-1])
-    rest = [ax for ax in range(num_qubits) if ax not in targets]
-    order = list(targets) + rest + [num_qubits]
-    vec = vec.transpose(order).reshape(2 ** k, -1)
-    vec = matrix @ vec
-    vec = vec.reshape([2] * num_qubits + [-1]).transpose(np.argsort(order))
-    return np.ascontiguousarray(vec).reshape(shape)
-
-
-def _apply_diag_values(amps: np.ndarray, values: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Multiply diagonal injector values into the targeted axes (no dense matrix)."""
-    k = len(targets)
-    shape = amps.shape
-    vec = amps.reshape([2] * num_qubits + [-1])
-    sorted_targets = sorted(targets)
-    vals = values.reshape([2] * k).transpose([targets.index(q) for q in sorted_targets])
-    broadcast = [2 if q in targets else 1 for q in range(num_qubits)] + [1]
-    vec = vec * vals.reshape(broadcast)
-    return vec.reshape(shape)
-
-
-def _apply_gate_array(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    for t in gate.targets:
-        if not 0 <= t < num_qubits:
-            raise ValueError(f"gate target {t} out of range for {num_qubits} qubits")
-    if gate.kind == DIAG:
-        return _apply_diag_values(amps, gate.values, gate.targets, num_qubits)
-    return _apply_matrix(amps, gate.matrix(), gate.targets, num_qubits)
+    if u.ndim == 1:
+        bounds = [-1] + sorted(targets)  # group the axes between targets: (.., 2, .., 2, .., rest)
+        dims = [d for lo, hi in zip(bounds, bounds[1:]) for d in (2 ** (hi - lo - 1), 2)]
+        phases = u.reshape([2] * k).transpose(np.argsort(targets)).reshape([1, 2] * k + [1])
+        return (amps.reshape(dims + [-1]) * phases).reshape(amps.shape)
+    q = targets[0]
+    if tuple(targets) != tuple(range(q, q + k)):
+        raise ValueError(f"a dense gate needs consecutive ascending targets, got {tuple(targets)}")
+    lead, dim = 2 ** q, 2 ** k
+    rest = amps.size // (lead * dim)
+    if rest >= 16 or (rest >= 4 and lead <= 64):
+        out = np.matmul(u, amps.reshape(lead, dim, rest))
+    else:
+        # Short rows: matmul loops over `lead` tiny products (~0.5 us each), and below rest = 4
+        # it leaves BLAS gemm and rounds differently, which moves the L-BFGS path of state-prep
+        # training.  One gemm with (u x I_rest)^T is faster and rounds like the rest.
+        wide = u.T
+        if rest > 1:
+            wide = (wide[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(dim * rest, -1)
+        out = amps.reshape(lead, dim * rest) @ wide
+    return out.reshape(amps.shape)
 
 
 class Circuit:
@@ -268,15 +276,7 @@ class Circuit:
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the circuit (including relabeling and global phase)."""
-        dim = 2 ** self.num_qubits
-        u = np.eye(dim, dtype=complex)
-        for gate in self.gates:
-            u = _apply_gate_array(u, gate, self.num_qubits)
-        if self.final_permutation is not None:
-            u = _apply_permutation(u, self.final_permutation, self.num_qubits)
-        if self.global_phase != 0.0:
-            u = u * np.exp(1j * self.global_phase)
-        return u
+        return _run_circuit(np.eye(2 ** self.num_qubits, dtype=complex), self)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -361,59 +361,62 @@ class NoiseModel:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    return StateVector(_apply_gate_array(state.amplitudes, gate, state.num_qubits), check=False)
+    return StateVector(
+        _apply_gate_array(state.amplitudes, gate.operator(), gate.targets, state.num_qubits), check=False
+    )
+
+
+def _run_circuit(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """The gates, the trailing relabeling, then the global phase; amps is (2^n,) or (2^n, batch)."""
+    for gate in circuit.gates:
+        amps = _apply_gate_array(amps, gate.operator(), gate.targets, circuit.num_qubits)
+    if circuit.final_permutation is not None:
+        amps = amps[_permutation_source(circuit.num_qubits, tuple(circuit.final_permutation))]
+    if circuit.global_phase != 0.0:
+        amps = amps * np.exp(1j * circuit.global_phase)
+    return amps
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run `circuit` on a pure state (noiseless)."""
     if state.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit act on different register sizes")
-    amps = state.amplitudes
-    for gate in circuit.gates:
-        amps = _apply_gate_array(amps, gate, circuit.num_qubits)
-    if circuit.final_permutation is not None:
-        amps = _apply_permutation(amps, circuit.final_permutation, circuit.num_qubits)
-    if circuit.global_phase != 0.0:
-        amps = amps * np.exp(1j * circuit.global_phase)
-    return StateVector(amps, check=False)
+    return StateVector(_run_circuit(state.amplitudes, circuit), check=False)
 
 
 def _dm_apply_gate(entries: np.ndarray, gate: Gate, m: int) -> np.ndarray:
+    """U rho U^dag: the gate kernel on the row axes with U and on the column axes with conj(U)."""
     flat = entries.reshape(-1)
-    flat = _apply_gate_array(flat, gate, 2 * m)
-    right = Gate(gate.kind, tuple(t + m for t in gate.targets), gate.params, gate.values)
-    if right.kind == DIAG:
-        right = Gate(DIAG, right.targets, values=np.conj(right.values))
-        flat = _apply_gate_array(flat, right, 2 * m)
+    columns = tuple(t + m for t in gate.targets)
+    phases = gate.phases()
+    if phases is not None:  # both sides in one multiply by d (x) d*
+        flat = _apply_gate_array(flat, np.outer(phases, phases.conj()).ravel(), gate.targets + columns, 2 * m)
     else:
-        flat = _apply_matrix(flat, right.matrix().conj(), right.targets, 2 * m)
+        u = gate.matrix()
+        flat = _apply_gate_array(flat, u, gate.targets, 2 * m)
+        flat = _apply_gate_array(flat, u.conj(), columns, 2 * m)
     return flat.reshape(entries.shape)
 
 
 def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float, m: int) -> np.ndarray:
-    """Two-qubit depolarizing channel on wires (a, b).
+    """Two-qubit depolarizing channel on wires (a, b); returns a new array.
 
     Uses the twirl identity sum_{all 16 P} P rho P^dag = 16 (Tr_ab rho) (x) I/4,
-    so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4.
+    so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4: one scaled
+    copy of rho, plus a quarter of the partial trace on each of the four
+    pair-diagonal blocks.
     """
-    t = entries.reshape([2] * (2 * m))
-    # trace out the pair: contract (a, m+a) then (b, m+b), tracking axis shifts
-    reduced = np.trace(t, axis1=a, axis2=m + a)
-    b1 = b if b < a else b - 1
-    b2 = (m + b) - 2 if (m + b) > (m + a) else (m + b) - 1
-    reduced = np.trace(reduced, axis1=b1, axis2=b2)
-    out = np.zeros_like(t)
-    idx: list = [slice(None)] * (2 * m)
-    for ia in (0, 1):
-        for ib in (0, 1):
-            idx[a] = ia
-            idx[b] = ib
-            idx[m + a] = ia
-            idx[m + b] = ib
-            out[tuple(idx)] = reduced / 4.0
-            idx[a] = idx[b] = idx[m + a] = idx[m + b] = slice(None)
+    a, b = sorted((a, b))  # the channel is symmetric in its two wires
+    gap, tail = 2 ** (b - a - 1), 2 ** (m - b - 1)
+    rho = entries.reshape(2 ** a, 2, gap, 2, tail * 2 ** a, 2, gap, 2, tail)
+    every = slice(None)
+    blocks = [(every, i, every, j, every, i, every, j) for i in (0, 1) for j in (0, 1)]
     w = 16.0 * p / 15.0
-    return ((1.0 - w) * t + w * out).reshape(entries.shape)
+    share = (w / 4.0) * sum(rho[block] for block in blocks)
+    out = (1.0 - w) * rho
+    for block in blocks:
+        out[block] += share
+    return out.reshape(entries.shape)
 
 
 def apply_circuit_noisy(rho: DensityMatrix, circuit: Circuit, noise: NoiseModel) -> DensityMatrix:
@@ -429,10 +432,8 @@ def apply_circuit_noisy(rho: DensityMatrix, circuit: Circuit, noise: NoiseModel)
         if gate.num_targets == 2 and noise.p > 0.0:
             entries = depolarize_pair(entries, gate.targets[0], gate.targets[1], noise.p, m)
     if circuit.final_permutation is not None:
-        dst = _permutation_index(m, tuple(circuit.final_permutation))
-        out = np.empty_like(entries)
-        out[np.ix_(dst, dst)] = entries
-        entries = out
+        src = _permutation_source(m, tuple(circuit.final_permutation))
+        entries = entries[np.ix_(src, src)]
     return DensityMatrix(entries, check=False)
 
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .sim import Circuit, StateVector, hadamard, phased_x, rz, rzz
+from .sim import Circuit, StateVector, _apply_gate_array, hadamard, phased_x, rz, rzz
 
 BLOCK_PARAMS = 15
 
@@ -249,28 +249,19 @@ def _validated_theta(ansatz: BrickwallAnsatz, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _pair_view(vec: np.ndarray, q: int) -> np.ndarray:
-    """View the state as a (4, rest) matrix with the (q, q+1) pair axis first."""
-    lead = 2 ** q
-    return vec.reshape(lead, 4, -1).transpose(1, 0, 2).reshape(4, -1)
-
-
-def _apply_block(vec: np.ndarray, u4: np.ndarray, q: int) -> np.ndarray:
-    lead = 2 ** q
-    v = vec.reshape(lead, 4, -1).transpose(1, 0, 2)
-    shape = v.shape
-    out = (u4 @ v.reshape(4, -1)).reshape(shape).transpose(1, 0, 2)
-    return out.reshape(-1)
+def _forward_states(ansatz: BrickwallAnsatz, blocks_u: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """|0...0> and the state after each block, in block order."""
+    states = [StateVector.zero(ansatz.num_qubits).amplitudes]
+    for pair, u4 in zip(ansatz.blocks, blocks_u):
+        states.append(_apply_gate_array(states[-1], u4, pair, ansatz.num_qubits))
+    return states
 
 
 def prepare_state(ansatz: BrickwallAnsatz, theta: np.ndarray) -> StateVector:
     """U(theta)|0...0> via direct 4x4 block application (no gate lowering)."""
     theta = _validated_theta(ansatz, theta)
-    vec = np.zeros(2 ** ansatz.num_qubits, dtype=complex)
-    vec[0] = 1.0
-    for (q, _), p in zip(ansatz.blocks, theta.reshape(-1, BLOCK_PARAMS)):
-        vec = _apply_block(vec, block_unitary(p), q)
-    return StateVector(vec, check=False)
+    blocks_u = [block_unitary(p) for p in theta.reshape(-1, BLOCK_PARAMS)]
+    return StateVector(_forward_states(ansatz, blocks_u)[-1], check=False)
 
 
 def _check_target(ansatz: BrickwallAnsatz, target: StateVector) -> None:
@@ -302,20 +293,15 @@ def _cross_matrices(ansatz: BrickwallAnsatz, blocks_u: list[np.ndarray], target:
     the block's pair axis — so re-evaluating one block's 4x4 re-prices the whole
     cost in O(1).
     """
-    dim = 2 ** ansatz.num_qubits
-    fwd = np.zeros(dim, dtype=complex)
-    fwd[0] = 1.0
-    forwards = [fwd]
-    for (q, _), u4 in zip(ansatz.blocks, blocks_u):
-        fwd = _apply_block(fwd, u4, q)
-        forwards.append(fwd)
-    overlap = complex(np.vdot(target.amplitudes, fwd))
+    forwards = _forward_states(ansatz, blocks_u)
+    overlap = complex(np.vdot(target.amplitudes, forwards[-1]))
     back = target.amplitudes
     cross = [np.empty(0)] * len(blocks_u)
     for i in range(len(blocks_u) - 1, -1, -1):
-        q = ansatz.blocks[i][0]
-        cross[i] = _pair_view(forwards[i], q) @ _pair_view(back, q).conj().T
-        back = _apply_block(back, blocks_u[i].conj().T, q)
+        pair = ansatz.blocks[i]
+        f, g = (v.reshape(2 ** pair[0], 4, -1).transpose(1, 0, 2).reshape(4, -1) for v in (forwards[i], back))
+        cross[i] = f @ g.conj().T
+        back = _apply_gate_array(back, blocks_u[i].conj().T, pair, ansatz.num_qubits)
     return 1.0 - overlap.real, cross
 
 
@@ -406,24 +392,18 @@ def cost_directional_derivative(
     per_block = theta.reshape(-1, BLOCK_PARAMS)
     v_block = v.reshape(-1, BLOCK_PARAMS)
     blocks_u = [block_unitary(p) for p in per_block]
-    dim = 2 ** ansatz.num_qubits
-    fwd = np.zeros(dim, dtype=complex)
-    fwd[0] = 1.0
-    forwards = [fwd]
-    for (q, _), u4 in zip(ansatz.blocks, blocks_u):
-        fwd = _apply_block(fwd, u4, q)
-        forwards.append(fwd)
+    forwards = _forward_states(ansatz, blocks_u)
     total = 0.0
     back = target.amplitudes
     for i in range(len(blocks_u) - 1, -1, -1):
-        q = ansatz.blocks[i][0]
+        pair = ansatz.blocks[i]
         du = np.zeros((4, 4), dtype=complex)
         for j in range(BLOCK_PARAMS):
             if v_block[i, j] != 0.0:
                 du = du + v_block[i, j] * block_unitary_partial(per_block[i], j)
         if du.any():
-            total += -np.vdot(back, _apply_block(forwards[i], du, q)).real
-        back = _apply_block(back, blocks_u[i].conj().T, q)
+            total += -np.vdot(back, _apply_gate_array(forwards[i], du, pair, ansatz.num_qubits)).real
+        back = _apply_gate_array(back, blocks_u[i].conj().T, pair, ansatz.num_qubits)
     return float(total)
 
 

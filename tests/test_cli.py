@@ -193,6 +193,14 @@ def test_evolve_missing_checkpoint_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evolve_rejects_a_list_of_noise_levels(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["evolve", "--n", "2", "--p", "1e-3,1e-1", "--out", str(out), "--no-svg"])
+    assert rc == 1
+    assert "--p takes one value" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 # ----------------------------------------------------------------------- sweep
 
 
@@ -242,6 +250,27 @@ def test_sweep_time_axis_with_workers(tmp_path, capsys):
     assert cli.main(args + ["--out", str(out2), "--workers", "2"]) == 0
     assert (out1 / "sweep_t.csv").read_text() == (out2 / "sweep_t.csv").read_text()
     capsys.readouterr()
+
+
+def test_sweep_time_axis_rejects_a_list_of_noise_levels(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.main(["sweep", "--axis", "t", "--n", "2", "--t-range", "0.2:0.4", "--dt", "0.2",
+                   "--p", "1e-3,1e-1", "--out", str(out), "--no-svg"])
+    assert rc == 1
+    assert "--p takes one value" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("axis", ["N", "p", "t"])
+@pytest.mark.parametrize("flag", [("--mode", "exact"), ("--prep", "/nonexistent.json")])
+def test_sweep_point_axes_reject_mode_and_prep(tmp_path, capsys, axis, flag):
+    # every sweep point runs the approx circuit on the exact Ricker state
+    out = tmp_path / "run"
+    rc = cli.main(["sweep", "--axis", axis, "--n-range", "2:3", "--n", "2", "--p", "1e-3",
+                   *flag, "--out", str(out), "--no-svg"])
+    assert rc == 1
+    assert f"runs only {flag[0]}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_sweep_shots_axis(tmp_path, capsys):

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwave.sim import (
     Circuit,
@@ -28,6 +30,7 @@ from qwave.sim import (
     sample_bitstrings,
     state_infidelity,
 )
+from qwave.sim import _apply_gate_array
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,6 +173,97 @@ def test_apply_circuit_matches_dense_product(m):
     out = apply_circuit(state, circ)
     assert np.allclose(out.amplitudes, dense @ state.amplitudes, atol=1e-12)
     assert np.allclose(circ.unitary(), dense, atol=1e-12)
+
+
+def test_dense_kernel_needs_consecutive_ascending_targets():
+    amps = StateVector.zero(3).amplitudes
+    u4 = np.kron(hadamard(0).matrix(), hadamard(0).matrix())
+    for targets in ((0, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            _apply_gate_array(amps, u4, targets, 3)
+    with pytest.raises(ValueError):
+        _apply_gate_array(amps, hadamard(0).matrix(), (3,), 3)
+
+
+# ------------------------------------------------------- kernel property tests
+
+
+@st.composite
+def _gate_lists(draw, max_qubits: int = 4, max_gates: int = 8):
+    """A register size and gates of every kind; multi-qubit targets unsorted and non-adjacent."""
+    m = draw(st.integers(1, max_qubits))
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+    kinds = ["H", "RZ", "PHASEDX", "DIAG"] + (["RZZ", "CPHASE"] if m >= 2 else [])
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        wires = draw(st.permutations(range(m)))
+        if kind == "H":
+            gates.append(hadamard(wires[0]))
+        elif kind == "RZ":
+            gates.append(rz(draw(angle), wires[0]))
+        elif kind == "PHASEDX":
+            gates.append(phased_x(draw(angle), draw(angle), wires[0]))
+        elif kind == "RZZ":
+            gates.append(rzz(draw(angle), wires[0], wires[1]))
+        elif kind == "CPHASE":
+            gates.append(cphase(draw(angle), wires[0], wires[1]))
+        else:
+            k = draw(st.integers(1, m))
+            phases = draw(st.lists(angle, min_size=2 ** k, max_size=2 ** k))
+            gates.append(diagonal_injector(np.exp(1j * np.array(phases)), wires[:k]))
+    return m, gates
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+@_PROPERTY
+@given(_gate_lists(), st.integers(0, 2 ** 32 - 1))
+def test_statevector_kernel_matches_dense_product(case, seed):
+    m, gates = case
+    state = _random_state(m, np.random.default_rng(seed))
+    before = state.amplitudes.copy()
+    dense = np.eye(2 ** m, dtype=complex)
+    for gate in gates:
+        dense = _embed(gate.matrix(), gate.targets, m) @ dense
+    circ = Circuit(m, gates)
+    out = apply_circuit(state, circ)
+    assert np.max(np.abs(out.amplitudes - dense @ before)) < 1e-12
+    assert np.max(np.abs(circ.unitary() - dense)) < 1e-12
+    assert np.array_equal(state.amplitudes, before)
+
+
+@_PROPERTY
+@given(_gate_lists(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+def test_density_kernel_matches_conjugation_and_pauli_sum(case, seed, p):
+    m, gates = case
+    rho = _random_density(m, np.random.default_rng(seed))
+    before = rho.entries.copy()
+    out = apply_circuit_noisy(rho, Circuit(m, gates), NoiseModel(p)).entries
+    want = before
+    for gate in gates:
+        op = _embed(gate.matrix(), gate.targets, m)
+        want = op @ want @ op.conj().T
+        if gate.num_targets == 2:
+            want = _brute_force_depolarize(want, gate.targets[0], gate.targets[1], p, m)
+    assert np.max(np.abs(out - want)) < 1e-12
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert np.max(np.abs(out - out.conj().T)) < 1e-12
+    assert np.linalg.eigvalsh(out).min() > -1e-12
+    assert np.array_equal(rho.entries, before)
+
+
+@_PROPERTY
+@given(st.integers(2, 4).flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m)))),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+def test_depolarize_pair_leaves_its_argument_unchanged(case, seed, p):
+    m, wires = case
+    rho = _random_density(m, np.random.default_rng(seed)).entries
+    before = rho.copy()
+    out = depolarize_pair(rho, wires[0], wires[1], p, m)
+    assert np.array_equal(rho, before)
+    assert np.max(np.abs(out - _brute_force_depolarize(before, wires[0], wires[1], p, m))) < 1e-13
 
 
 # ------------------------------------------------------------- circuit algebra

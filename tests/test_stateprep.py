@@ -161,6 +161,22 @@ def test_circuit_lowering_matches_dense_blocks():
         assert all(g.num_targets == 1 or g.kind == "RZZ" for g in circ)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_prepare_state_matches_gate_circuit_at_every_depth(m, depth):
+    # block sweeps and the gate-level circuit run through the same kernel but
+    # different operators: 4x4 blocks on (q, q+1) against RZ/PhasedX/H/RZZ gates
+    rng = np.random.default_rng(10 * m + depth)
+    ans = BrickwallAnsatz(m, depth)
+    target = _random_target(m, rng)
+    for _ in range(3):
+        theta = rng.uniform(-math.pi, math.pi, ans.num_params)
+        via_circuit = apply_circuit(StateVector.zero(m), ansatz_to_circuit(ans, theta)).amplitudes
+        assert np.max(np.abs(prepare_state(ans, theta).amplitudes - via_circuit)) < 1e-12
+        value, _ = cost_and_gradient(ans, theta, target)
+        assert value == pytest.approx(1.0 - np.vdot(target.amplitudes, via_circuit).real, abs=1e-12)
+
+
 def test_prepare_state_basics():
     ans = build_ansatz(3)
     state = prepare_state(ans, np.zeros(ans.num_params))
