@@ -375,6 +375,8 @@ def _sweep_time_axis(config: RunConfig, out: Path) -> int:
 def _sweep_shots_axis(config: RunConfig, out: Path) -> int:
     if not config.shots_list:
         raise ValueError("empty shots axis")
+    if any(config.p):
+        raise ValueError("sweep --axis shots samples the noiseless state; it takes no --p")
     n, t = config.n, config.t
     N = 2 ** n
     prep, initial = _load_prep(config)

@@ -8,15 +8,16 @@ trained to prepare that state from |0...0> by minimizing
 
     C(theta) = 1 - Re <target| U(theta) |0...0>
 
-with L-BFGS on central-finite-difference gradients.  Each block carries 15
-angles: a ZYZ rotation per wire, an XX+YY+ZZ entangler, and a second ZYZ
-pair; zero angles give the identity, and the template covers SU(4) up to
-global phase (Cartan form).
+with L-BFGS on exact gradients: each partial is -Re Tr(dU_i/dtheta_j M_i),
+with M_i the block's 4x4 cross matrix from one forward and one backward sweep
+(the adjoint method) and dU_i/dtheta_j formed by inserting the angle's
+generator.  Each block carries 15 angles: a ZYZ rotation per wire, an
+XX+YY+ZZ entangler, and a second ZYZ pair; zero angles give the identity, and
+the template covers SU(4) up to global phase (Cartan form).
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -24,7 +25,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .sim import Circuit, StateVector, _apply_gate_array, hadamard, phased_x, rz, rzz
 
@@ -116,48 +116,79 @@ def build_ansatz(num_qubits: int, depth: int | None = None) -> BrickwallAnsatz:
     return BrickwallAnsatz(num_qubits, default_depth(num_qubits) if depth is None else depth)
 
 
-def _rz_matrix(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * theta), np.exp(1j * theta)])
+_Z_DIAG = np.array([1.0, -1.0])
+_MINUS_I_GENERATORS = -1j * np.array(
+    [
+        np.fliplr(np.eye(4)),  # XX
+        np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])),  # YY
+        np.diag([1.0, -1.0, -1.0, 1.0]),  # ZZ
+    ]
+)
 
 
-def _ry_matrix(beta: float) -> np.ndarray:
-    c, s = math.cos(beta), math.sin(beta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _ry(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[[c, -s], [s, c]] over broadcast arrays, stacked on two trailing axes."""
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
 
 
-def _euler_zyz(a: float, b: float, c: float) -> np.ndarray:
-    """Rz(c) Ry(b) Rz(a) with full-angle rotations; covers SU(2) up to phase."""
-    return _rz_matrix(c) @ _ry_matrix(b) @ _rz_matrix(a)
+def _euler(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rz(c) Ry(b) Rz(a) for angles (..., 3), with full-angle rotations, and its partials.
+
+    Covers SU(2) up to phase.  The partials (..., 3, 2, 2) insert each angle's
+    generator: E (-iZ), Rz(c) (-iY) Ry(b) Rz(a), and (-iZ) E.
+    """
+    a, b, c = np.moveaxis(angles, -1, 0)
+    left = np.exp(-1j * c[..., None] * _Z_DIAG)[..., :, None]
+    right = np.exp(-1j * a[..., None] * _Z_DIAG)[..., None, :]
+    cos_b, sin_b = np.cos(b), np.sin(b)
+    e = left * _ry(cos_b, sin_b) * right
+    minus_i_z = -1j * _Z_DIAG
+    partials = np.stack([e * minus_i_z, left * _ry(-sin_b, cos_b) * right, minus_i_z[:, None] * e], -3)
+    return e, partials
 
 
-def _euler_entries(a: float, b: float, c: float) -> tuple[complex, complex, complex, complex]:
-    """The four entries of Rz(c) Ry(b) Rz(a), row-major (scalar fast path)."""
-    cb, sb = math.cos(b), math.sin(b)
-    em_c, ep_c = cmath.exp(-1j * c), cmath.exp(1j * c)
-    em_a, ep_a = cmath.exp(-1j * a), cmath.exp(1j * a)
-    return em_c * cb * em_a, -em_c * sb * ep_a, ep_c * sb * em_a, ep_c * cb * ep_a
-
-
-def _euler_matrix(a: float, b: float, c: float) -> np.ndarray:
-    e00, e01, e10, e11 = _euler_entries(a, b, c)
-    return np.array([[e00, e01], [e10, e11]])
+def _entangler(angles: np.ndarray) -> np.ndarray:
+    """exp(-i (a XX + b YY + c ZZ)) for angles (..., 3), in closed form (XX, YY, ZZ commute)."""
+    a, b, c = np.moveaxis(angles, -1, 0)
+    w = np.zeros(a.shape + (4, 4), dtype=complex)
+    outer, inner = np.exp(-1j * c), np.exp(1j * c)
+    w[..., 0, 0] = w[..., 3, 3] = outer * np.cos(a - b)
+    w[..., 0, 3] = w[..., 3, 0] = -1j * outer * np.sin(a - b)
+    w[..., 1, 1] = w[..., 2, 2] = inner * np.cos(a + b)
+    w[..., 1, 2] = w[..., 2, 1] = -1j * inner * np.sin(a + b)
+    return w
 
 
 def _kron22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """Kronecker product of stacked 2x2 matrices over their broadcast leading axes."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*shape, 4, 4)
 
 
-def _entangler(a: float, b: float, c: float) -> np.ndarray:
-    """exp(-i (a XX + b YY + c ZZ)) in closed form (XX, YY, ZZ commute)."""
-    w = np.zeros((4, 4), dtype=complex)
-    outer, inner = cmath.exp(-1j * c), cmath.exp(1j * c)
-    cm, sm = math.cos(a - b), math.sin(a - b)
-    cp, sp = math.cos(a + b), math.sin(a + b)
-    w[0, 0] = w[3, 3] = outer * cm
-    w[0, 3] = w[3, 0] = outer * (-1j * sm)
-    w[1, 1] = w[2, 2] = inner * cp
-    w[1, 2] = w[2, 1] = inner * (-1j * sp)
-    return w
+def _blocks(per_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitaries (B, 4, 4) of blocks with angles (B, 15), and their partials (B, 15, 4, 4).
+
+    A block is (A1 x A2) W (B1 x B2) with B1, B2 on angles 0..5, W on 6..8 and
+    A1, A2 on 9..14; each partial differentiates one factor in place.
+    """
+    b1, db1 = _euler(per_block[:, 0:3])
+    b2, db2 = _euler(per_block[:, 3:6])
+    a1, da1 = _euler(per_block[:, 9:12])
+    a2, da2 = _euler(per_block[:, 12:15])
+    w = _entangler(per_block[:, 6:9])
+    pre, post = _kron22(b1, b2), _kron22(a1, a2)
+    post_w, w_pre = (post @ w)[:, None], (w @ pre)[:, None]
+    partials = np.concatenate(
+        [
+            post_w @ _kron22(db1, b2[:, None]),
+            post_w @ _kron22(b1[:, None], db2),
+            post[:, None] @ _MINUS_I_GENERATORS @ w_pre,
+            _kron22(da1, a2[:, None]) @ w_pre,
+            _kron22(a1[:, None], da2) @ w_pre,
+        ],
+        axis=1,
+    )
+    return post_w[:, 0] @ pre, partials
 
 
 def block_unitary(params: np.ndarray) -> np.ndarray:
@@ -165,48 +196,7 @@ def block_unitary(params: np.ndarray) -> np.ndarray:
     p = np.asarray(params, dtype=float)
     if p.shape != (BLOCK_PARAMS,):
         raise ValueError(f"block takes {BLOCK_PARAMS} angles, got shape {p.shape}")
-    pre = _kron22(_euler_matrix(*p[0:3]), _euler_matrix(*p[3:6]))
-    post = _kron22(_euler_matrix(*p[9:12]), _euler_matrix(*p[12:15]))
-    return post @ _entangler(*p[6:9]) @ pre
-
-
-_PAULI_Z = np.diag([1.0 + 0j, -1.0])
-_PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
-_I2 = np.eye(2, dtype=complex)
-_XX = np.fliplr(np.eye(4, dtype=complex))
-_YY = np.fliplr(np.diag([-1.0 + 0j, 1.0, 1.0, -1.0]))
-_ZZ = np.diag([1.0 + 0j, -1.0, -1.0, 1.0])
-
-
-def _euler_zyz_partial(a: float, b: float, c: float, which: int) -> np.ndarray:
-    """d/dtheta of Rz(c) Ry(b) Rz(a) by generator insertion (which = 0 for a, ...)."""
-    if which == 0:
-        return _euler_zyz(a, b, c) @ (-1j * _PAULI_Z)
-    if which == 1:
-        return _rz_matrix(c) @ _ry_matrix(b) @ (-1j * _PAULI_Y) @ _rz_matrix(a)
-    return (-1j * _PAULI_Z) @ _euler_zyz(a, b, c)
-
-
-def block_unitary_partial(params: np.ndarray, index: int) -> np.ndarray:
-    """Analytic dU/dtheta_index of the 4x4 block (generator insertion, no differencing)."""
-    p = np.asarray(params, dtype=float)
-    pre_a, pre_b = _euler_zyz(*p[0:3]), _euler_zyz(*p[3:6])
-    post_a, post_b = _euler_zyz(*p[9:12]), _euler_zyz(*p[12:15])
-    w = _entangler(*p[6:9])
-    if index < 3:
-        pre = np.kron(_euler_zyz_partial(*p[0:3], which=index), pre_b)
-        return np.kron(post_a, post_b) @ w @ pre
-    if index < 6:
-        pre = np.kron(pre_a, _euler_zyz_partial(*p[3:6], which=index - 3))
-        return np.kron(post_a, post_b) @ w @ pre
-    if index < 9:
-        gen = (_XX, _YY, _ZZ)[index - 6]
-        return np.kron(post_a, post_b) @ (-1j * gen) @ w @ np.kron(pre_a, pre_b)
-    if index < 12:
-        post = np.kron(_euler_zyz_partial(*p[9:12], which=index - 9), post_b)
-    else:
-        post = np.kron(post_a, _euler_zyz_partial(*p[12:15], which=index - 12))
-    return post @ w @ np.kron(pre_a, pre_b)
+    return _blocks(p[None])[0][0]
 
 
 def ansatz_to_circuit(ansatz: BrickwallAnsatz, theta: np.ndarray) -> Circuit:
@@ -249,7 +239,7 @@ def _validated_theta(ansatz: BrickwallAnsatz, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _forward_states(ansatz: BrickwallAnsatz, blocks_u: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _forward_states(ansatz: BrickwallAnsatz, blocks_u: np.ndarray) -> list[np.ndarray]:
     """|0...0> and the state after each block, in block order."""
     states = [StateVector.zero(ansatz.num_qubits).amplitudes]
     for pair, u4 in zip(ansatz.blocks, blocks_u):
@@ -259,8 +249,7 @@ def _forward_states(ansatz: BrickwallAnsatz, blocks_u: Sequence[np.ndarray]) -> 
 
 def prepare_state(ansatz: BrickwallAnsatz, theta: np.ndarray) -> StateVector:
     """U(theta)|0...0> via direct 4x4 block application (no gate lowering)."""
-    theta = _validated_theta(ansatz, theta)
-    blocks_u = [block_unitary(p) for p in theta.reshape(-1, BLOCK_PARAMS)]
+    blocks_u, _ = _blocks(_validated_theta(ansatz, theta).reshape(-1, BLOCK_PARAMS))
     return StateVector(_forward_states(ansatz, blocks_u)[-1], check=False)
 
 
@@ -285,7 +274,7 @@ def infidelity(ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector) 
     return float(1.0 - abs(overlap) ** 2)
 
 
-def _cross_matrices(ansatz: BrickwallAnsatz, blocks_u: list[np.ndarray], target: StateVector):
+def _cross_matrices(ansatz: BrickwallAnsatz, blocks_u: np.ndarray, target: StateVector):
     """Forward/backward sweep; returns (cost, per-block 4x4 cross matrices M_i).
 
     With f_{i-1} the state before block i and g_i the target pulled back through
@@ -296,7 +285,7 @@ def _cross_matrices(ansatz: BrickwallAnsatz, blocks_u: list[np.ndarray], target:
     forwards = _forward_states(ansatz, blocks_u)
     overlap = complex(np.vdot(target.amplitudes, forwards[-1]))
     back = target.amplitudes
-    cross = [np.empty(0)] * len(blocks_u)
+    cross = np.empty_like(blocks_u)
     for i in range(len(blocks_u) - 1, -1, -1):
         pair = ansatz.blocks[i]
         f, g = (v.reshape(2 ** pair[0], 4, -1).transpose(1, 0, 2).reshape(4, -1) for v in (forwards[i], back))
@@ -305,125 +294,32 @@ def _cross_matrices(ansatz: BrickwallAnsatz, blocks_u: list[np.ndarray], target:
     return 1.0 - overlap.real, cross
 
 
-def _euler_fd(a: float, b: float, c: float, t: np.ndarray, h: float) -> tuple[float, float, float]:
-    """Central differences of Re sum_ij E'(angles)[i,j] t[j,i] over the three angles."""
-    t00, t01, t10, t11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-
-    def val(x: float, y: float, z: float) -> float:
-        e00, e01, e10, e11 = _euler_entries(x, y, z)
-        return (e00 * t00 + e01 * t10 + e10 * t01 + e11 * t11).real
-
-    return (
-        val(a + h, b, c) - val(a - h, b, c),
-        val(a, b + h, c) - val(a, b - h, c),
-        val(a, b, c + h) - val(a, b, c - h),
-    )
-
-
-def _entangler_fd(a: float, b: float, c: float, h4: tuple, h: float) -> tuple[float, float, float]:
-    """Central differences of Re Tr(W'(angles) H) with H pre-reduced to four sums."""
-
-    def val(x: float, y: float, z: float) -> float:
-        return (
-            cmath.exp(-1j * z) * (math.cos(x - y) * h4[0] - 1j * math.sin(x - y) * h4[1])
-            + cmath.exp(1j * z) * (math.cos(x + y) * h4[2] - 1j * math.sin(x + y) * h4[3])
-        ).real
-
-    return (
-        val(a + h, b, c) - val(a - h, b, c),
-        val(a, b + h, c) - val(a, b - h, c),
-        val(a, b, c + h) - val(a, b, c - h),
-    )
-
-
-def _block_factors(p: np.ndarray):
-    """(B1, B2, W, A1, A2, U) of one block; U = (A1 x A2) W (B1 x B2)."""
-    b1, b2 = _euler_matrix(*p[0:3]), _euler_matrix(*p[3:6])
-    a1, a2 = _euler_matrix(*p[9:12]), _euler_matrix(*p[12:15])
-    w = _entangler(*p[6:9])
-    u = _kron22(a1, a2) @ w @ _kron22(b1, b2)
-    return b1, b2, w, a1, a2, u
-
-
 def cost_and_gradient(
-    ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector, h: float = 1e-6
+    ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector
 ) -> tuple[float, np.ndarray]:
-    """Cost plus its central-difference gradient (step h on each block angle).
+    """Cost plus its exact gradient, dC/dtheta_j = -Re Tr(dU_i/dtheta_j M_i) for block i.
 
-    Each shifted evaluation re-prices only the changed factor: with the cross
-    matrix M_i fixed, Tr(U'(theta +/- h e_j) M_i) reduces to a 2x2 (or the
-    entangler's eight-entry) contraction against a pre-reduced tensor.
+    One forward and one backward sweep give every block's cross matrix M_i
+    (Jones & Gacon, arXiv:2009.02823); the 15 partials of all blocks are then
+    contracted against them at once.
     """
     _check_target(ansatz, target)
     theta = _validated_theta(ansatz, theta)
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
-    per_block = theta.reshape(-1, BLOCK_PARAMS)
-    factors = [_block_factors(p) for p in per_block]
-    value, cross = _cross_matrices(ansatz, [f[5] for f in factors], target)
-    grad = np.empty_like(theta)
-    scale = -1.0 / (2.0 * h)
-    for i, (p, (b1, b2, w, a1, a2, _)) in enumerate(zip(per_block, factors)):
-        m = cross[i]
-        aw = _kron22(a1, a2) @ w
-        g4 = (m @ aw).reshape(2, 2, 2, 2)
-        bm = _kron22(b1, b2) @ m
-        hm = bm @ _kron22(a1, a2)
-        k4 = (w @ bm).reshape(2, 2, 2, 2)
-        h4 = (hm[0, 0] + hm[3, 3], hm[3, 0] + hm[0, 3], hm[1, 1] + hm[2, 2], hm[2, 1] + hm[1, 2])
-        base = i * BLOCK_PARAMS
-        grad[base:base + 3] = _euler_fd(*p[0:3], np.einsum("kl,jlik->ji", b2, g4), h)
-        grad[base + 3:base + 6] = _euler_fd(*p[3:6], np.einsum("ij,jlik->lk", b1, g4), h)
-        grad[base + 6:base + 9] = _entangler_fd(*p[6:9], h4, h)
-        grad[base + 9:base + 12] = _euler_fd(*p[9:12], np.einsum("kl,jlik->ji", a2, k4), h)
-        grad[base + 12:base + 15] = _euler_fd(*p[12:15], np.einsum("ij,jlik->lk", a1, k4), h)
-    return value, grad * scale
-
-
-def cost_directional_derivative(
-    ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector, direction: np.ndarray
-) -> float:
-    """Analytic d/ds C(theta + s v)|_{s=0} by inserting each angle's generator."""
-    _check_target(ansatz, target)
-    theta = _validated_theta(ansatz, theta)
-    v = np.asarray(direction, dtype=float)
-    if v.shape != theta.shape:
-        raise ValueError("direction must match the parameter vector")
-    per_block = theta.reshape(-1, BLOCK_PARAMS)
-    v_block = v.reshape(-1, BLOCK_PARAMS)
-    blocks_u = [block_unitary(p) for p in per_block]
-    forwards = _forward_states(ansatz, blocks_u)
-    total = 0.0
-    back = target.amplitudes
-    for i in range(len(blocks_u) - 1, -1, -1):
-        pair = ansatz.blocks[i]
-        du = np.zeros((4, 4), dtype=complex)
-        for j in range(BLOCK_PARAMS):
-            if v_block[i, j] != 0.0:
-                du = du + v_block[i, j] * block_unitary_partial(per_block[i], j)
-        if du.any():
-            total += -np.vdot(back, _apply_gate_array(forwards[i], du, pair, ansatz.num_qubits)).real
-        back = _apply_gate_array(back, blocks_u[i].conj().T, pair, ansatz.num_qubits)
-    return float(total)
+    blocks_u, partials = _blocks(theta.reshape(-1, BLOCK_PARAMS))
+    value, cross = _cross_matrices(ansatz, blocks_u, target)
+    return value, -np.einsum("bjik,bki->bj", partials, cross).real.ravel()
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Quasi-Newton settings: iteration budget, difference step, tolerance, history, seed."""
+    """Quasi-Newton settings: iteration budget and the seed of the initial angles."""
 
     max_iters: int = 5000
-    h: float = 1e-6
-    tol: float = 1e-12
-    memory: int = 10
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.h <= 0:
-            raise ValueError("difference step must be positive")
-        if self.memory < 1:
-            raise ValueError("quasi-Newton memory must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -449,6 +345,8 @@ def optimize(
     evaluations and records a monotone best-cost-per-iteration history.
     Raises on NaN cost instead of returning a bogus optimum.
     """
+    from scipy.optimize import minimize  # deferred: it dominates the import time of qwave.cli
+
     _check_target(ansatz, target)
     if theta_init is None:
         theta_init = np.random.default_rng(config.seed).random(ansatz.num_params)
@@ -458,7 +356,7 @@ def optimize(
     history: list[float] = []
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = cost_and_gradient(ansatz, x, target, config.h)
+        value, grad = cost_and_gradient(ansatz, x, target)
         if not math.isfinite(value):
             raise FloatingPointError("optimization diverged: cost is not finite")
         if value < best["cost"]:
@@ -477,8 +375,8 @@ def optimize(
         callback=lambda xk: history.append(best["cost"]),
         options={
             "maxiter": config.max_iters,
-            "maxcor": config.memory,
-            "ftol": config.tol,
+            "maxcor": 10,
+            "ftol": 1e-12,
             "gtol": 1e-12,
         },
     )

@@ -5,6 +5,9 @@ each subcommand end to end against its documented files and exit codes.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +288,16 @@ def test_sweep_shots_axis(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_shots_axis_rejects_noise(tmp_path, capsys):
+    # the shots axis samples the noiseless state; a noise level is refused, not dropped
+    out = tmp_path / "run"
+    rc = cli.main(["sweep", "--axis", "shots", "--n", "3", "--t", "0.4", "--shots-list", "200,5000",
+                   "--p", "0.5", "--out", str(out), "--no-svg"])
+    assert rc == 1
+    assert "takes no --p" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 # ------------------------------------------------------------------- gatecount
 
 
@@ -305,6 +318,13 @@ def test_gatecount_outputs(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ entry point
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    # scipy.optimize is most of the import time; only training needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import qwave.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_unknown_command_is_an_argparse_error():
