@@ -37,14 +37,9 @@ exact = pipeline.exact_reference(n, t)
 exact_prob = pipeline.wavefield_probabilities(exact, n)
 circuit = pipeline.evolution_circuit(n, t, mode="exact")
 state = pipeline.simulate_noiseless(circuit, pipeline.ricker_state(n))
-histogram = sample_bitstrings(state, shots, seed=7)
-stats = mc_errors(histogram)
-
-estimate = np.zeros(2 * N)
-for bits, (p_hat, _, _) in stats.items():
-    estimate[int(bits, 2)] = p_hat
+p_hat, _, _ = mc_errors(sample_bitstrings(state, shots, seed=7))
 # Fold the auxiliary qubit: probability of grid point j is the sum over both branches.
-est_grid = estimate[:N] + estimate[N:]
+est_grid = p_hat[:N] + p_hat[N:]
 # Error bars from the reference curve: a sampled zero carries no spread of its
 # own, so the binomial width of the true probability is the honest yardstick.
 err_grid = np.sqrt(exact_prob * (1.0 - exact_prob) / shots)

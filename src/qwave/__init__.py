@@ -12,7 +12,6 @@ Layout:
 
 from .circuits import (
     EvolutionSpec,
-    SignedWavenumberMap,
     assemble_evolution,
     build_approx_diagonal,
     build_exact_diagonal,
@@ -41,7 +40,6 @@ from .sim import (
     state_infidelity,
 )
 from .spectral import (
-    FourierAmplitudes,
     SpectralModel,
     dft,
     exact_evolve,

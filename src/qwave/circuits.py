@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +36,6 @@ from .sim import (
     rzz,
 )
 from .spectral import SpectralModel, wavenumbers
-
-
-@dataclass(frozen=True)
-class SignedWavenumberMap:
-    """Binary layout of the signed wavenumber register after the inverse QFT.
-
-    For index m on qubits 1..n (qubit 1 = most significant), k = m when
-    m < N/2 and k = m - N otherwise.  Qubit 1 is therefore the sign bit, and
-    the remaining bits form l = sum_{q=2..n} b_q 2^{n-q} with l = k + N/2 for
-    negative k and l = k otherwise.
-    """
-
-    n: int
-    wavenumbers: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one spatial qubit")
-        object.__setattr__(self, "wavenumbers", wavenumbers(2 ** self.n))
-
-    def sign_bit(self, m: int) -> int:
-        return (m >> (self.n - 1)) & 1
-
-    def residual(self, m: int) -> int:
-        return m % (2 ** (self.n - 1)) if self.n > 1 else 0
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ Subcommands
     sweep      iterate N, t, p, or shots; emit rows, fitted exponents, charts
     gatecount  lowered gate tallies vs n with a degree-2 fit
 
-Options may come from a flat key=value config file (--config); explicit flags
-override file values.  All randomness flows from --seed.  Exit code 0 on
-success, 1 with a diagnostic on stderr otherwise.
+`RunConfig` is the one table of options: each field carries its default,
+parser, help text, choices and the subcommands that read it.  A subcommand
+accepts only the options it reads, as flags or as keys of a flat key=value
+config file (--config); explicit flags override file values.  All randomness
+flows from --seed.  Exit code 0 on success; 1 with a diagnostic on stderr for
+a run or config-file error; 2 for a usage error (an unknown flag or a value
+the flag's parser or choices refuse).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,52 +30,9 @@ import numpy as np
 from . import pipeline
 from .compile import quadratic_fit
 from .sim import sample_bitstrings, state_infidelity
-from .stateprep import (
-    Checkpoint,
-    OptimizerConfig,
-    build_ansatz,
-    optimize,
-    optimize_multistart,
-)
+from .spectral import mc_errors
+from .stateprep import Checkpoint, OptimizerConfig, build_ansatz, optimize
 from .svgplot import Series, line_chart
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One command's resolved options (file config merged with CLI flags)."""
-
-    n: int = 6
-    n_range: tuple[int, int] | None = None
-    t: float = 1.0
-    t_range: tuple[float, float] | None = None
-    dt: float = 0.01
-    mode: str = "approx"
-    p: tuple[float, ...] = ()
-    shots: int = 0
-    shots_list: tuple[int, ...] = (100, 1000, 10000, 100000)
-    seed: int = 0
-    prep: str = "exact"
-    out: str = "qwave-out"
-    axis: str = "N"
-    workers: int = 1
-    iters: int = 5000
-    restarts: int = 3
-    depth: int | None = None
-    svg: bool = True
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
-        if self.t_range is not None and self.t_range[0] > self.t_range[1]:
-            raise ValueError("t range must be increasing")
-        if self.n_range is not None and self.n_range[0] > self.n_range[1]:
-            raise ValueError("n range must be increasing")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
-        if self.shots < 0:
-            raise ValueError("shots must be non-negative")
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
 
 
 def _parse_int_range(text: str) -> tuple[int, int]:
@@ -101,30 +62,77 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_FIELD_PARSERS = {
-    "n": int,
-    "n_range": _parse_int_range,
-    "t": float,
-    "t_range": _parse_float_range,
-    "dt": float,
-    "mode": str,
-    "p": _parse_floats,
-    "shots": int,
-    "shots_list": _parse_ints,
-    "seed": int,
-    "prep": str,
-    "out": str,
-    "axis": str,
-    "workers": int,
-    "iters": int,
-    "restarts": int,
-    "depth": int,
-    "svg": _parse_bool,
-}
+_EVERY_COMMAND = ("train", "evolve", "sweep", "gatecount")
 
 
-def load_config_file(path: str | Path) -> dict[str, object]:
-    """Flat `key = value` lines; keys mirror the CLI flags (underscored)."""
+def _option(default, parse, help, commands, choices=None, metavar=None):
+    """A RunConfig field; a bool option's flag is --no-<name>, every other one --<name>."""
+    meta = {"parse": parse, "help": help, "commands": commands, "choices": choices, "metavar": metavar}
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One command's resolved options (file config merged with CLI flags)."""
+
+    n: int = _option(6, int, "spatial qubits (N = 2^n grid points)", ("train", "evolve", "sweep"))
+    n_range: tuple[int, int] | None = _option(
+        None, _parse_int_range, "range of n", ("sweep", "gatecount"), metavar="LO:HI"
+    )
+    t: float = _option(1.0, float, "evolution time", ("evolve", "sweep", "gatecount"))
+    t_range: tuple[float, float] | None = _option(
+        None, _parse_float_range, "time range of a t sweep", ("sweep",), metavar="LO:HI"
+    )
+    dt: float = _option(0.01, float, "time step of a t sweep", ("sweep",))
+    mode: str = _option(
+        "approx", str, "diagonal flavor (small-angle is approx)", ("evolve", "sweep"),
+        choices=("exact", "approx", "small-angle"),
+    )
+    p: tuple[float, ...] = _option(
+        (), _parse_floats, "depolarizing levels", ("evolve", "sweep"), metavar="P[,P...]"
+    )
+    shots: int = _option(0, int, "samples to draw (0 = none)", ("evolve",))
+    shots_list: tuple[int, ...] = _option(
+        (100, 1000, 10000, 100000), _parse_ints, "shot counts of a shots sweep", ("sweep",),
+        metavar="S[,S...]",
+    )
+    seed: int = _option(0, int, "seed for all randomness", ("train", "evolve", "sweep"))
+    prep: str = _option("exact", str, "'exact' or a checkpoint JSON path", ("evolve", "sweep"))
+    out: str = _option("qwave-out", str, "output directory", _EVERY_COMMAND)
+    axis: str = _option("N", str, "sweep axis", ("sweep",), choices=("N", "t", "p", "shots"))
+    workers: int = _option(1, int, "worker processes for sweep points or restarts", ("train", "sweep"))
+    iters: int = _option(5000, int, "optimizer iteration budget", ("train",))
+    restarts: int = _option(3, int, "optimizer restarts", ("train",))
+    depth: int | None = _option(None, int, "override ansatz depth", ("train", "gatecount"))
+    svg: bool = _option(True, _parse_bool, "skip SVG output (config key: svg = off)", _EVERY_COMMAND)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata["choices"]
+            if choices and value not in choices:
+                raise ValueError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
+        if self.dt <= 0:
+            raise ValueError("time step must be positive")
+        if self.t_range is not None and self.t_range[0] > self.t_range[1]:
+            raise ValueError("t range must be increasing")
+        if self.n_range is not None and self.n_range[0] > self.n_range[1]:
+            raise ValueError("n range must be increasing")
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
+        if self.shots < 0:
+            raise ValueError("shots must be non-negative")
+        if self.restarts < 1:
+            raise ValueError("need at least one restart")
+
+
+def _command_options(command: str) -> list:
+    """The RunConfig fields that `command` reads, in table order."""
+    return [f for f in fields(RunConfig) if command in f.metadata["commands"]]
+
+
+def load_config_file(path: str | Path, command: str) -> dict[str, object]:
+    """Flat `key = value` lines; keys mirror `command`'s flags (underscored)."""
+    options = {f.name: f for f in fields(RunConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -134,21 +142,21 @@ def load_config_file(path: str | Path) -> dict[str, object]:
         key, value = key.strip().replace("-", "_"), value.strip()
         if not sep or not key:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        if key not in _FIELD_PARSERS:
+        if key not in options:
             raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = _FIELD_PARSERS[key](value)
+        if command not in options[key].metadata["commands"]:
+            raise ValueError(f"{path}:{lineno}: {command} does not read option {key!r}")
+        values[key] = options[key].metadata["parse"](value)
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicitly passed flags."""
-    values: dict[str, object] = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    for field in fields(RunConfig):
-        flag_value = getattr(args, field.name, None)
+    values = load_config_file(args.config, args.command) if args.config else {}
+    for f in _command_options(args.command):
+        flag_value = getattr(args, f.name)
         if flag_value is not None:
-            values[field.name] = flag_value
+            values[f.name] = flag_value
     return RunConfig(**values)
 
 
@@ -165,17 +173,23 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
+def _map(fn, calls: list[tuple], workers: int) -> list:
+    """[fn(*args) for args in calls], spread over `workers` processes when there are more than one."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(fn, *args) for args in calls]
+            return [f.result() for f in futures]
+    return [fn(*args) for args in calls]
+
+
 def cmd_train(config: RunConfig) -> int:
     """Train the prep for the Ricker target at n, write prep_n{n}.json."""
     out = _out_dir(config)
     target = pipeline.ricker_state(config.n)
     ansatz = build_ansatz(config.n + 1, config.depth)
-    opt = OptimizerConfig(max_iters=config.iters, seed=config.seed)
-    if config.restarts > 1:
-        seeds = range(config.seed, config.seed + config.restarts)
-        result = optimize_multistart(ansatz, target, opt, seeds=list(seeds))
-    else:
-        result = optimize(ansatz, target, opt)
+    seeds = range(config.seed, config.seed + config.restarts)
+    runs = [(ansatz, target, OptimizerConfig(max_iters=config.iters, seed=s)) for s in seeds]
+    result = min(_map(optimize, runs, config.workers), key=lambda r: r.cost)
     checkpoint = Checkpoint.from_result(config.n, ansatz, result)
     path = out / f"prep_n{config.n}.json"
     checkpoint.save(path)
@@ -216,6 +230,8 @@ def _single_p(config: RunConfig) -> float:
 def cmd_evolve(config: RunConfig) -> int:
     """One evolution run; CSV of (x, exact |psi|^2, simulated |psi|^2, eps_mc)."""
     p = _single_p(config)
+    if config.mode == "exact" and p > 0.0:
+        raise ValueError("evolve --mode exact runs noiselessly: no noise reaches its (n+1)-qubit DIAG gate")
     out = _out_dir(config)
     n, t = config.n, config.t
     N = 2 ** n
@@ -230,12 +246,8 @@ def cmd_evolve(config: RunConfig) -> int:
     sim_probs = pipeline.wavefield_probabilities(state, n)
 
     if config.shots > 0:
-        histogram = sample_bitstrings(state, config.shots, config.seed)
-        sampled = np.zeros(N)
-        for j in range(N):
-            sampled[j] = histogram.get(format(j, f"0{n + 1}b"), 0) / config.shots
-        eps_mc = np.sqrt(sampled * (1.0 - sampled) / config.shots)
-        reported = sampled
+        p_hat, eps_mc, _ = mc_errors(sample_bitstrings(state, config.shots, config.seed))
+        reported, eps_mc = p_hat[:N], eps_mc[:N]
     else:
         eps_mc = np.zeros(N)
         reported = sim_probs
@@ -264,14 +276,6 @@ def cmd_evolve(config: RunConfig) -> int:
     return 0
 
 
-def _run_points(points: list[tuple[int, float, float]], workers: int) -> list[pipeline.SweepRow]:
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(pipeline.sweep_point, *pt) for pt in points]
-            return [f.result() for f in futures]
-    return [pipeline.sweep_point(*pt) for pt in points]
-
-
 def _write_sweep(out: Path, name: str, rows: list[pipeline.SweepRow]) -> Path:
     path = out / name
     _write_csv(
@@ -284,7 +288,7 @@ def _write_sweep(out: Path, name: str, rows: list[pipeline.SweepRow]) -> Path:
 
 def _check_sweep_point_options(config: RunConfig) -> None:
     """`pipeline.sweep_point` runs the approx circuit on the exact Ricker state, nothing else."""
-    if config.mode not in ("approx", "small-angle", "small_angle"):
+    if config.mode == "exact":
         raise ValueError(f"sweep --axis {config.axis} runs only --mode approx, got {config.mode!r}")
     if config.prep != "exact":
         raise ValueError(f"sweep --axis {config.axis} runs only --prep exact, got {config.prep!r}")
@@ -300,7 +304,7 @@ def _sweep_grid_axis(config: RunConfig, out: Path) -> int:
         p_list = config.p or (1e-5, 1e-4, 1e-3)
     ns = list(range(lo, hi + 1))
     points = [(n, config.t, p) for p in p_list for n in ns]
-    rows = _run_points(points, config.workers)
+    rows = _map(pipeline.sweep_point, points, config.workers)
     path = _write_sweep(out, f"sweep_{config.axis}.csv", rows)
 
     series = []
@@ -346,7 +350,7 @@ def _sweep_time_axis(config: RunConfig, out: Path) -> int:
     if not ts:
         raise ValueError("empty time axis")
     points = [(config.n, t, p) for t in ts]
-    rows = _run_points(points, config.workers)
+    rows = _map(pipeline.sweep_point, points, config.workers)
     path = _write_sweep(out, "sweep_t.csv", rows)
 
     fit_rows = [r for r in rows if r.t >= 0.1 and r.epsilon > 0]
@@ -385,10 +389,9 @@ def _sweep_shots_axis(config: RunConfig, out: Path) -> int:
     probs = pipeline.wavefield_probabilities(state, n)
     rows = []
     for i, shots in enumerate(config.shots_list):
-        histogram = sample_bitstrings(state, shots, config.seed + i)
-        sampled = np.array([histogram.get(format(j, f"0{n + 1}b"), 0) / shots for j in range(N)])
-        max_abs = float(np.max(np.abs(sampled - probs)))
-        eps_mc_max = float(np.max(np.sqrt(sampled * (1.0 - sampled) / shots)))
+        p_hat, eps_mc, _ = mc_errors(sample_bitstrings(state, shots, config.seed + i))
+        max_abs = float(np.max(np.abs(p_hat[:N] - probs)))
+        eps_mc_max = float(np.max(eps_mc[:N]))
         rows.append((n, N, f"{t:g}", shots, f"{max_abs:.10g}", f"{eps_mc_max:.10g}"))
     path = out / "sweep_shots.csv"
     _write_csv(path, ["n", "N", "t", "shots", "max_abs_error", "eps_mc_max"], rows)
@@ -410,16 +413,14 @@ def _sweep_shots_axis(config: RunConfig, out: Path) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    if config.axis in ("N", "p", "t"):
+    if config.axis != "shots":
         _check_sweep_point_options(config)
     out = _out_dir(config)
     if config.axis in ("N", "p"):
         return _sweep_grid_axis(config, out)
     if config.axis == "t":
         return _sweep_time_axis(config, out)
-    if config.axis == "shots":
-        return _sweep_shots_axis(config, out)
-    raise ValueError(f"unknown sweep axis {config.axis!r} (expected N, t, p, or shots)")
+    return _sweep_shots_axis(config, out)
 
 
 def cmd_gatecount(config: RunConfig) -> int:
@@ -461,27 +462,6 @@ def cmd_gatecount(config: RunConfig) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--n", type=int, help="spatial qubits (N = 2^n grid points)")
-    parser.add_argument("--t", type=float, help="evolution time")
-    parser.add_argument("--t-range", dest="t_range", type=_parse_float_range, metavar="LO:HI")
-    parser.add_argument("--dt", type=float, help="time step for t sweeps")
-    parser.add_argument("--n-range", dest="n_range", type=_parse_int_range, metavar="LO:HI")
-    parser.add_argument("--mode", choices=["exact", "approx", "small-angle"], help="diagonal flavor")
-    parser.add_argument("--p", type=_parse_floats, metavar="P[,P...]", help="depolarizing levels")
-    parser.add_argument("--shots", type=int, help="samples to draw (0 = none)")
-    parser.add_argument("--shots-list", dest="shots_list", type=_parse_ints, metavar="S[,S...]")
-    parser.add_argument("--seed", type=int, help="seed for all randomness")
-    parser.add_argument("--prep", help="'exact' or a checkpoint JSON path")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, help="parallel sweep workers")
-    parser.add_argument("--iters", type=int, help="optimizer iteration budget")
-    parser.add_argument("--restarts", type=int, help="optimizer restarts")
-    parser.add_argument("--depth", type=int, help="override ansatz depth")
-    parser.add_argument("--no-svg", dest="svg", action="store_const", const=False, help="skip SVG output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwave", description="wave-equation evolution on a simulated quantum register"
@@ -493,10 +473,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep, "sweep N, t, p, or shots"),
         ("gatecount", cmd_gatecount, "count lowered gates vs n"),
     ):
-        p = sub.add_parser(name, help=extra)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument("--axis", choices=["N", "t", "p", "shots"], help="sweep axis")
+        # no abbreviations: gatecount would read --n as --n-range
+        p = sub.add_parser(name, help=extra, allow_abbrev=False)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for f in _command_options(name):
+            meta = f.metadata
+            if meta["parse"] is _parse_bool:
+                p.add_argument(f"--no-{f.name}", dest=f.name, action="store_const", const=False,
+                               help=meta["help"])
+            else:
+                p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=meta["parse"],
+                               choices=meta["choices"], metavar=meta["metavar"], help=meta["help"])
         p.set_defaults(func=func)
     return parser
 

@@ -61,11 +61,6 @@ def exact_reference(n: int, t: float, params: RickerParams = RickerParams()) -> 
     return spectral.exact_evolve(psi0, np.zeros(2 ** n), t)
 
 
-def smallangle_reference(n: int, t: float, params: RickerParams = RickerParams()) -> StateVector:
-    psi0 = ricker_state(n, params).amplitudes[: 2 ** n]
-    return spectral.smallangle_evolve(psi0, t)
-
-
 def simulate_noiseless(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     state = StateVector.zero(circuit.num_qubits) if initial is None else initial
     return apply_circuit(state, circuit)

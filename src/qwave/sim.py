@@ -437,8 +437,8 @@ def apply_circuit_noisy(rho: DensityMatrix, circuit: Circuit, noise: NoiseModel)
     return DensityMatrix(entries, check=False)
 
 
-def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int) -> dict[str, int]:
-    """Draw Born-rule samples; returns a histogram keyed by bitstring (qubit 0 first)."""
+def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int) -> np.ndarray:
+    """Draw Born-rule samples; returns the count of each basis index (qubit 0 most significant)."""
     if shots < 1:
         raise ValueError("shots must be a positive integer")
     probs = state.probabilities()
@@ -447,10 +447,7 @@ def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int)
     if not 0.999 < total < 1.001:
         raise ValueError("state probabilities do not sum to one")
     probs = probs / total
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    n = state.num_qubits
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c > 0}
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def state_infidelity(exact: StateVector, state: StateVector | DensityMatrix) -> float:

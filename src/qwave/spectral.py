@@ -79,25 +79,6 @@ class SpectralModel:
         object.__setattr__(self, "dispersion_gap", omega - small)
 
 
-@dataclass(frozen=True)
-class FourierAmplitudes:
-    """Fourier coefficients of the two wavefield sectors, in DFT index order."""
-
-    c0: np.ndarray  # displacement sector (top qubit |0>)
-    c1: np.ndarray  # velocity-potential sector (top qubit |1>)
-
-    def __post_init__(self):
-        total = np.vdot(self.c0, self.c0).real + np.vdot(self.c1, self.c1).real
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError("sector coefficients must have combined unit norm")
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "FourierAmplitudes":
-        N = 2 ** (state.num_qubits - 1)
-        psi, phi = state.amplitudes[:N], state.amplitudes[N:]
-        return cls(dft(psi, "inverse"), dft(phi, "inverse"))
-
-
 def _evolve(psi0: np.ndarray, phi0: np.ndarray, t: float, frequencies: np.ndarray) -> StateVector:
     """(H (x) DFT) diag(e^{-i t w_k z}) (H (x) DFT^dag) applied to (psi0, phi0)."""
     psi0 = np.asarray(psi0, dtype=complex)
@@ -162,24 +143,23 @@ def infidelity_model(c0k: np.ndarray, t: float, N: int) -> tuple[float, float, f
     return float(exact), float(second), float(bound)
 
 
-def mc_errors(histogram: dict[str, int]) -> dict[str, tuple[float, float, float]]:
-    """Per-bitstring shot statistics: (p_hat, eps_mc, eps_rel).
+def mc_errors(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-outcome shot statistics of a counts array: (p_hat, eps_mc, eps_rel).
 
-    eps_mc = sqrt(p_hat (1 - p_hat)) / sqrt(shots); eps_rel = eps_mc / p_hat,
-    reported as NaN when p_hat = 0.
+    eps_mc = sqrt(p_hat (1 - p_hat) / shots); eps_rel = eps_mc / p_hat,
+    reported as NaN where p_hat = 0.
     """
-    shots = sum(histogram.values())
+    counts = np.asarray(counts)
+    if np.any(counts < 0):
+        raise ValueError("negative count")
+    shots = counts.sum()
     if shots <= 0:
-        raise ValueError("histogram contains no shots")
-    out = {}
-    for bits, count in histogram.items():
-        if count < 0:
-            raise ValueError("negative count")
-        p_hat = count / shots
-        eps_mc = math.sqrt(p_hat * (1.0 - p_hat)) / math.sqrt(shots)
-        eps_rel = eps_mc / p_hat if p_hat > 0 else math.nan
-        out[bits] = (p_hat, eps_mc, eps_rel)
-    return out
+        raise ValueError("counts contain no shots")
+    p_hat = counts / shots
+    eps_mc = np.sqrt(p_hat * (1.0 - p_hat) / shots)
+    eps_rel = np.full(p_hat.shape, np.nan)
+    np.divide(eps_mc, p_hat, out=eps_rel, where=p_hat > 0)
+    return p_hat, eps_mc, eps_rel
 
 
 def shots_required(p: float, eps_rel: float) -> int:

@@ -362,10 +362,9 @@ def optimize(
         if value < best["cost"]:
             best["cost"] = value
             best["theta"] = x.copy()
+        if not history:  # L-BFGS-B's first call prices theta_init
+            history.append(value)
         return value, grad
-
-    initial_cost, _ = objective(theta_init)
-    history.append(initial_cost)
 
     result = minimize(
         objective,

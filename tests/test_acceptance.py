@@ -132,8 +132,7 @@ def test_acceptance_07_closed_form_matches_circuit():
 
 
 def test_acceptance_08_shot_noise_statistics():
-    stats = mc_errors({"target": 100, "rest": 900})
-    eps_rel = stats["target"][2]
+    eps_rel = mc_errors(np.array([100, 900]))[2][0]
     ratio = shots_required(0.005, 0.1) / shots_required(0.1, 0.1)
     ok = abs(eps_rel - 0.095) < 0.01 and ratio >= 10.0
     _report(8, ok, f"eps_rel(p=0.1, 1000 shots) = {eps_rel:.4f} (want 0.095 +- 0.01); shots ratio {ratio:.1f}x >= 10x")
@@ -188,10 +187,7 @@ def test_acceptance_11_sampled_wavefield_tracks_the_exact_curve():
         state = pipeline.simulate_noiseless(circuit, pipeline.ricker_state(n))
         exact = pipeline.wavefield_probabilities(pipeline.exact_reference(n, t), n)
         assert np.max(np.abs(pipeline.wavefield_probabilities(state, n) - exact)) < 1e-12
-        histogram = sample_bitstrings(state, shots, seed=i)
-        sampled = np.array(
-            [histogram.get(format(j, f"0{n + 1}b"), 0) / shots for j in range(N)]
-        )
+        sampled = sample_bitstrings(state, shots, seed=i)[:N] / shots
         eps_mc = np.sqrt(exact * (1.0 - exact) / shots)
         inside = np.abs(sampled - exact) <= 2.0 * eps_mc + 1e-12
         covered += int(inside.sum())

@@ -12,7 +12,6 @@ import pytest
 
 from qwave.circuits import (
     EvolutionSpec,
-    SignedWavenumberMap,
     approx_diagonal_angles,
     assemble_evolution,
     build_approx_diagonal,
@@ -40,19 +39,7 @@ def _full_state(psi: np.ndarray, phi: np.ndarray) -> StateVector:
     return StateVector(np.concatenate([psi, phi]).astype(complex))
 
 
-# --------------------------------------------------------------- wavenumber map
-
-
-def test_signed_wavenumber_map_layout():
-    wmap = SignedWavenumberMap(3)
-    assert wmap.wavenumbers.tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
-    for m in range(8):
-        k = m if m < 4 else m - 8
-        assert wmap.wavenumbers[m] == k
-        assert wmap.sign_bit(m) == (1 if k < 0 else 0)
-        assert wmap.residual(m) == (k + 4 if k < 0 else k)
-    with pytest.raises(ValueError):
-        SignedWavenumberMap(0)
+# --------------------------------------------------------------- evolution spec
 
 
 def test_evolution_spec_normalizes_mode_names():

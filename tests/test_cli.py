@@ -2,12 +2,14 @@
 each subcommand end to end against its documented files and exit codes.
 """
 
+import argparse
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +77,7 @@ def test_config_file_round_trip(tmp_path):
         svg = off
         """
     )
-    values = load_config_file(cfg)
+    values = load_config_file(cfg, "sweep")
     assert values == {
         "n": 3,
         "t": 0.5,
@@ -89,10 +91,84 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("tempo = 9\n")
     with pytest.raises(ValueError):
-        load_config_file(cfg)
+        load_config_file(cfg, "sweep")
     cfg.write_text("just a line\n")
     with pytest.raises(ValueError):
-        load_config_file(cfg)
+        load_config_file(cfg, "sweep")
+
+
+# What each subcommand reads; the option table and the parsers are checked against it.
+READS = {
+    "train": {"n", "seed", "out", "iters", "restarts", "depth", "workers", "svg"},
+    "evolve": {"n", "t", "mode", "p", "shots", "seed", "prep", "out", "svg"},
+    "sweep": {"axis", "n", "n_range", "t", "t_range", "dt", "mode", "p", "shots_list", "seed",
+              "prep", "out", "workers", "svg"},
+    "gatecount": {"n_range", "t", "depth", "out", "svg"},
+}
+
+# One non-default value per option: (flag arguments, config-file line).
+SAMPLES = {
+    "n": (["--n", "3"], "n = 3"),
+    "n_range": (["--n-range", "2:4"], "n-range = 2:4"),
+    "t": (["--t", "0.5"], "t = 0.5"),
+    "t_range": (["--t-range", "0.2:0.4"], "t_range = 0.2:0.4"),
+    "dt": (["--dt", "0.1"], "dt = 0.1"),
+    "mode": (["--mode", "exact"], "mode = exact"),
+    "p": (["--p", "1e-3,1e-2"], "p = 1e-3,1e-2"),
+    "shots": (["--shots", "50"], "shots = 50"),
+    "shots_list": (["--shots-list", "10,20"], "shots-list = 10,20"),
+    "seed": (["--seed", "4"], "seed = 4"),
+    "prep": (["--prep", "ckpt.json"], "prep = ckpt.json"),
+    "out": (["--out", "elsewhere"], "out = elsewhere"),
+    "axis": (["--axis", "shots"], "axis = shots"),
+    "workers": (["--workers", "2"], "workers = 2"),
+    "iters": (["--iters", "7"], "iters = 7"),
+    "restarts": (["--restarts", "1"], "restarts = 1"),
+    "depth": (["--depth", "2"], "depth = 2"),
+    "svg": (["--no-svg"], "svg = off"),
+}
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    actions = cli.build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_option_table(tmp_path, capsys, command):
+    assert set(SAMPLES) == {f.name for f in fields(RunConfig)}
+    assert {f.name for f in fields(RunConfig) if command in f.metadata["commands"]} == READS[command]
+    assert {a.dest for a in _subparser(command)._actions} - {"help", "config"} == READS[command]
+
+    cfg = tmp_path / "run.cfg"
+    out = ["--out", str(tmp_path / "run")]
+    for name, (flag_args, line) in SAMPLES.items():
+        cfg.write_text(line + "\n")
+        if name in READS[command]:
+            by_flag = cli.resolve_config(cli.build_parser().parse_args([command, *flag_args]))
+            by_file = cli.resolve_config(cli.build_parser().parse_args([command, "--config", str(cfg)]))
+            assert by_flag == by_file != RunConfig()
+            continue
+        with pytest.raises(SystemExit) as exc:  # argparse refuses the flag
+            cli.main([command, *flag_args, *out])
+        assert exc.value.code == 2
+        assert cli.main([command, "--config", str(cfg), *out]) == 1
+        assert f"does not read option {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(("command", "key", "value"), [("evolve", "mode", "small_angle"),
+                                                       ("sweep", "axis", "foo")])
+def test_flags_and_files_share_choice_sets(tmp_path, capsys, command, key, value):
+    out = ["--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, f"--{key}", value, *out])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert cli.main([command, "--config", str(cfg), *out]) == 1
+    assert f"{key} must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -122,6 +198,15 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     assert doc["infidelity"] < 1e-8
     assert (out / "train_history_n2.svg").exists()
     assert "infidelity=" in capsys.readouterr().out
+
+
+def test_train_restarts_in_parallel_match_serial(tmp_path, capsys):
+    args = ["train", "--n", "2", "--iters", "200", "--restarts", "2", "--seed", "1", "--no-svg"]
+    assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
+    assert cli.main(args + ["--out", str(tmp_path / "parallel"), "--workers", "2"]) == 0
+    serial = (tmp_path / "serial" / "prep_n2.json").read_text()
+    assert (tmp_path / "parallel" / "prep_n2.json").read_text() == serial
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------- evolve
@@ -194,6 +279,15 @@ def test_evolve_missing_checkpoint_is_reported(tmp_path, capsys):
                    "--out", str(tmp_path / "run")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_evolve_rejects_noise_in_exact_mode(tmp_path, capsys):
+    # the exact diagonal is one (n+1)-qubit gate that the noise model never reaches
+    out = tmp_path / "run"
+    rc = cli.main(["evolve", "--n", "3", "--mode", "exact", "--p", "1e-3", "--out", str(out)])
+    assert rc == 1
+    assert "--mode exact runs noiselessly" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_evolve_rejects_a_list_of_noise_levels(tmp_path, capsys):

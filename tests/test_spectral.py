@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qwave.spectral import (
-    FourierAmplitudes,
     SpectralModel,
     dft,
     dft_matrix,
@@ -134,8 +133,9 @@ def test_norm_and_per_mode_energy_are_conserved():
     psi0, phi0 = psi0 / scale, phi0 / scale
 
     def mode_energy(state):
-        amps = FourierAmplitudes.from_state(state)
-        return np.abs(amps.c0) ** 2 + np.abs(amps.c1) ** 2
+        c0 = dft(state.amplitudes[:N], "inverse")
+        c1 = dft(state.amplitudes[N:], "inverse")
+        return np.abs(c0) ** 2 + np.abs(c1) ** 2
 
     ref = mode_energy(exact_evolve(psi0, phi0, 0.0))
     for t in (0.3, 0.9, 2.4):
@@ -232,23 +232,22 @@ def test_infidelity_model_validation():
 
 
 def test_mc_errors_hand_checked_histogram():
-    stats = mc_errors({"00": 100, "01": 880, "10": 20})
-    p_hat, eps_mc, eps_rel = stats["00"]
-    assert p_hat == pytest.approx(0.1)
-    assert eps_mc == pytest.approx(math.sqrt(0.1 * 0.9 / 1000.0))
-    assert eps_rel == pytest.approx(0.09486832980505138)
-    assert stats["10"][0] == pytest.approx(0.02)
+    p_hat, eps_mc, eps_rel = mc_errors(np.array([100, 880, 20]))
+    assert p_hat[0] == pytest.approx(0.1)
+    assert eps_mc[0] == pytest.approx(math.sqrt(0.1 * 0.9 / 1000.0))
+    assert eps_rel[0] == pytest.approx(0.09486832980505138)
+    assert p_hat[2] == pytest.approx(0.02)
 
 
 def test_mc_errors_edge_cases():
-    stats = mc_errors({"0": 1000, "1": 0})
-    assert stats["0"] == (1.0, 0.0, 0.0)  # p_hat = 1 has zero binomial width
-    assert math.isnan(stats["1"][2])  # relative error undefined at p_hat = 0
-    assert stats["1"][0] == 0.0 and stats["1"][1] == 0.0
+    p_hat, eps_mc, eps_rel = mc_errors(np.array([1000, 0]))
+    assert (p_hat[0], eps_mc[0], eps_rel[0]) == (1.0, 0.0, 0.0)  # p_hat = 1 has zero binomial width
+    assert math.isnan(eps_rel[1])  # relative error undefined at p_hat = 0
+    assert p_hat[1] == 0.0 and eps_mc[1] == 0.0
     with pytest.raises(ValueError):
-        mc_errors({})
+        mc_errors(np.array([], dtype=int))
     with pytest.raises(ValueError):
-        mc_errors({"0": -1, "1": 2})
+        mc_errors(np.array([-1, 2]))
 
 
 def test_shots_required_scaling():
@@ -271,8 +270,7 @@ def test_fourier_amplitudes_round_trip():
     phi = rng.normal(size=N) + 1j * rng.normal(size=N)
     scale = math.sqrt(np.vdot(psi, psi).real + np.vdot(phi, phi).real)
     state = exact_evolve(psi / scale, phi / scale, 0.0)
-    amps = FourierAmplitudes.from_state(state)
-    assert np.allclose(dft(amps.c0, "forward"), psi / scale, atol=1e-12)
-    assert np.allclose(dft(amps.c1, "forward"), phi / scale, atol=1e-12)
-    with pytest.raises(ValueError):
-        FourierAmplitudes(np.ones(4), np.zeros(4))
+    c0 = dft(state.amplitudes[:N], "inverse")
+    c1 = dft(state.amplitudes[N:], "inverse")
+    assert np.allclose(dft(c0, "forward"), psi / scale, atol=1e-12)
+    assert np.allclose(dft(c1, "forward"), phi / scale, atol=1e-12)

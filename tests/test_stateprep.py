@@ -374,6 +374,27 @@ def test_optimizer_respects_iteration_budget():
     assert result.iterations <= 4
 
 
+def test_optimizer_prices_the_start_point_once(monkeypatch):
+    # the history's first entry comes from L-BFGS-B's own first call, not a pre-call
+    import qwave.stateprep as stateprep
+
+    points = []
+    exact = stateprep.cost_and_gradient
+
+    def recording(ansatz, theta, target):
+        points.append(np.array(theta, copy=True))
+        return exact(ansatz, theta, target)
+
+    monkeypatch.setattr(stateprep, "cost_and_gradient", recording)
+    ans = build_ansatz(3)
+    target = ricker_target(GridSpec(2))
+    result = optimize(ans, target, OptimizerConfig(max_iters=5, seed=0))
+    theta_init = np.random.default_rng(0).random(ans.num_params)
+    assert np.array_equal(points[0], theta_init)
+    assert not np.array_equal(points[0], points[1])
+    assert result.history[0] == exact(ans, theta_init, target)[0]
+
+
 def test_optimizer_raises_on_non_finite_cost():
     ans = build_ansatz(2)
     bad = StateVector(np.array([math.nan, 0, 0, 0], dtype=complex), check=False)
