@@ -1,5 +1,5 @@
-"""Count native gates after lowering the evolution circuit, fit the two-qubit
-growth law, and show what pruning small QFT rotations costs in accuracy.
+"""Count native gates after lowering the evolution circuit and fit the
+two-qubit growth law.
 
 Run from the repo root:  python3 demos/gate_counts.py
 Writes demos/output/gate_counts.svg
@@ -9,7 +9,6 @@ from pathlib import Path
 
 from qwave import compile as gc
 from qwave import pipeline
-from qwave.circuits import build_qft
 from qwave.stateprep import build_ansatz
 from qwave.svgplot import Series, line_chart
 
@@ -41,13 +40,4 @@ line_chart(
     logy=True,
 )
 
-# Dropping the finest controlled rotations shortens the QFT; the unitary
-# deviation stays tiny until the budget gets aggressive.
-n = 5
-qft = build_qft(n)
-print(f"\npruning the n = {n} QFT (budget b keeps rotations of order <= b):")
-print(f"{'b':>3} {'two-qubit gates':>16} {'unitary deviation':>18}")
-for b in range(1, n + 1):
-    pruned, dev = gc.prune_qft(qft, gc.PruneSpec(b))
-    print(f"{b:>3} {gc.count(pruned).two_qubit:>16} {dev:>18.3e}")
 print(f"wrote {OUT / 'gate_counts.svg'}")

@@ -15,12 +15,13 @@ from qwave.svgplot import Series, line_chart
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 
-config = sp.OptimizerConfig(max_iters=5000)
 series = []
 for n in (2, 4):
     target = sp.ricker_target(sp.GridSpec(n))
     ansatz = sp.build_ansatz(n + 1)
-    result = sp.optimize_multistart(ansatz, target, config, seeds=(0, 1, 2))
+    # best of three random starts, as `qwave train` does with --restarts 3
+    runs = [sp.optimize(ansatz, target, sp.OptimizerConfig(max_iters=5000, seed=s)) for s in (0, 1, 2)]
+    result = min(runs, key=lambda r: r.cost)
     print(
         f"n = {n}: depth {ansatz.depth}, {ansatz.num_params} angles, "
         f"seed {result.seed} wins after {result.iterations} iterations, "

@@ -5,7 +5,7 @@ Layout:
     circuits   QFT builders, diagonal evolution operators, the full pipeline circuit
     stateprep  Ricker targets and variational brickwall preparation
     spectral   circuit-independent classical reference and error model
-    compile    lowering to {RZ, PhasedX, RZZ}, gate counts, QFT pruning
+    compile    lowering to {RZ, PhasedX, RZZ}, gate counts, quadratic fit
     pipeline   end-to-end runs combining the above
     cli        command-line driver (train / evolve / sweep / gatecount)
 """
@@ -17,10 +17,8 @@ from .circuits import (
     build_exact_diagonal,
     build_iqft,
     build_qft,
-    circuit_from_text,
-    circuit_to_text,
 )
-from .compile import GateCounts, PruneSpec, count, lower, prune_qft, quadratic_fit
+from .compile import GateCounts, count, lower, quadratic_fit
 from .sim import (
     Circuit,
     DensityMatrix,
@@ -44,7 +42,6 @@ from .spectral import (
     dft,
     exact_evolve,
     infidelity_model,
-    laplacian_matrix,
     mc_errors,
     shots_required,
     smallangle_evolve,
@@ -61,7 +58,6 @@ from .stateprep import (
     build_ansatz,
     cost,
     optimize,
-    optimize_multistart,
     prepare_state,
     ricker_target,
     ricker_wavefield,

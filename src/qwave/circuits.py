@@ -15,18 +15,11 @@ controlled-phase pair, and n - 1 two-qubit ZZ rotations.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sim import (
-    CPHASE,
-    DIAG,
-    HADAMARD,
-    PHASEDX,
-    RZ,
-    RZZ,
     Circuit,
     Gate,
     cphase,
@@ -35,7 +28,7 @@ from .sim import (
     rz,
     rzz,
 )
-from .spectral import SpectralModel, wavenumbers
+from .spectral import SpectralModel
 
 
 @dataclass(frozen=True)
@@ -81,20 +74,6 @@ def build_iqft(n: int) -> Circuit:
     return build_qft(n).inverse()
 
 
-def approx_diagonal_angles(n: int, t: float) -> dict[str, float]:
-    """Per-term angles of the small-angle diagonal in RZ/controlled-RZ form.
-
-    theta0 drives the unconditional RZ on qubit 0, theta1 the qubit-1-controlled
-    RZ on qubit 0 (the N-shift for negative wavenumbers), and theta_q for
-    q = 2..n the ZZ rotation between qubits 0 and q.
-    """
-    N = 2 ** n
-    angles = {"theta0": (2 ** (n - 1) - 1) * math.pi * t, "theta1": -N * math.pi * t}
-    for q in range(2, n + 1):
-        angles[f"theta{q}"] = -(2 ** (n - q)) * math.pi * t
-    return angles
-
-
 def build_approx_diagonal(n: int, t: float) -> Circuit:
     """Small-angle phase block: applies e^{-i t 2 pi k Z_0} per signed wavenumber k.
 
@@ -114,17 +93,6 @@ def build_approx_diagonal(n: int, t: float) -> Circuit:
     for q in range(2, n + 1):
         circ.append(rzz(-(2 ** (n - q)) * math.pi * t, 0, q))
     return circ
-
-
-def smallangle_diagonal_values(n: int, t: float) -> np.ndarray:
-    """Reference diagonal e^{-i t 2 pi k z0} over the full (n+1)-qubit register."""
-    N = 2 ** n
-    k = wavenumbers(N)
-    phases = np.concatenate([
-        np.exp(-2j * np.pi * k * t),   # z0 = +1 sector (qubit 0 = |0>)
-        np.exp(+2j * np.pi * k * t),   # z0 = -1 sector
-    ])
-    return phases
 
 
 def build_exact_diagonal(n: int, t: float) -> Gate:
@@ -162,59 +130,4 @@ def assemble_evolution(prep: Circuit | None, spec: EvolutionSpec) -> Circuit:
         circ.extend(build_approx_diagonal(n, spec.t))
     circ.extend(build_qft(n), wires=spatial)
     circ.append(hadamard(0))
-    return circ
-
-
-# --- line-oriented text serialization -------------------------------------
-
-def circuit_to_text(circuit: Circuit) -> str:
-    """One gate per line: `KIND q0 [q1 ...] angle ...`; diagonal values after `|`."""
-    lines = [f"QUBITS {circuit.num_qubits}"]
-    if circuit.global_phase != 0.0:
-        lines.append(f"PHASE {circuit.global_phase!r}")
-    for gate in circuit.gates:
-        fieldlist = [gate.kind] + [str(t) for t in gate.targets]
-        if gate.kind == DIAG:
-            fieldlist.append("|")
-            fieldlist += [f"{float(v.real)!r},{float(v.imag)!r}" for v in gate.values]
-        else:
-            fieldlist += [repr(p) for p in gate.params]
-        lines.append(" ".join(fieldlist))
-    if circuit.final_permutation is not None:
-        lines.append("PERMUTE " + " ".join(str(p) for p in circuit.final_permutation))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    circ: Circuit | None = None
-    kinds = {HADAMARD, RZ, PHASEDX, RZZ, CPHASE, DIAG}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        head = parts[0].upper()
-        if head == "QUBITS":
-            circ = Circuit(int(parts[1]))
-            continue
-        if circ is None:
-            raise ValueError("circuit text must start with a QUBITS line")
-        if head == "PHASE":
-            circ.global_phase += float(parts[1])
-        elif head == "PERMUTE":
-            circ._set_permutation([int(p) for p in parts[1:]])
-        elif head == DIAG:
-            bar = parts.index("|")
-            targets = [int(q) for q in parts[1:bar]]
-            values = [complex(*map(float, v.split(","))) for v in parts[bar + 1:]]
-            circ.append(diagonal_injector(values, targets))
-        elif head in kinds:
-            n_targets = {HADAMARD: 1, RZ: 1, PHASEDX: 1, RZZ: 2, CPHASE: 2}[head]
-            targets = tuple(int(q) for q in parts[1:1 + n_targets])
-            params = tuple(float(p) for p in parts[1 + n_targets:])
-            circ.append(Gate(head, targets, params))
-        else:
-            raise ValueError(f"unknown line in circuit text: {raw!r}")
-    if circ is None:
-        raise ValueError("empty circuit text")
     return circ

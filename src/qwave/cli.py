@@ -7,12 +7,13 @@ Subcommands
     gatecount  lowered gate tallies vs n with a degree-2 fit
 
 `RunConfig` is the one table of options: each field carries its default,
-parser, help text, choices and the subcommands that read it.  A subcommand
-accepts only the options it reads, as flags or as keys of a flat key=value
-config file (--config); explicit flags override file values.  All randomness
-flows from --seed.  Exit code 0 on success; 1 with a diagnostic on stderr for
-a run or config-file error; 2 for a usage error (an unknown flag or a value
-the flag's parser or choices refuse).
+parser, help text, choices, the subcommands that read it and the sweep axes
+that read it.  A subcommand accepts only the options it reads, as flags or as
+keys of a flat key=value config file (--config); explicit flags override file
+values, and `sweep` refuses a non-default option that its axis does not read.
+All randomness flows from --seed.  Exit code 0 on success; 1 with a diagnostic
+on stderr for a run or config-file error; 2 for a usage error (an unknown flag
+or a value the flag's parser or choices refuse).
 """
 
 from __future__ import annotations
@@ -63,11 +64,14 @@ def _parse_bool(text: str) -> bool:
 
 
 _EVERY_COMMAND = ("train", "evolve", "sweep", "gatecount")
+_EVERY_AXIS = ("N", "t", "p", "shots")
+_POINT_AXES = ("N", "p", "t")  # the axes that run pipeline.sweep_point
 
 
-def _option(default, parse, help, commands, choices=None, metavar=None):
+def _option(default, parse, help, commands, choices=None, metavar=None, axes=()):
     """A RunConfig field; a bool option's flag is --no-<name>, every other one --<name>."""
-    meta = {"parse": parse, "help": help, "commands": commands, "choices": choices, "metavar": metavar}
+    meta = {"parse": parse, "help": help, "commands": commands, "choices": choices, "metavar": metavar,
+            "axes": axes}
     return field(default=default, metadata=meta)
 
 
@@ -75,36 +79,46 @@ def _option(default, parse, help, commands, choices=None, metavar=None):
 class RunConfig:
     """One command's resolved options (file config merged with CLI flags)."""
 
-    n: int = _option(6, int, "spatial qubits (N = 2^n grid points)", ("train", "evolve", "sweep"))
+    n: int = _option(
+        6, int, "spatial qubits (N = 2^n grid points)", ("train", "evolve", "sweep"), axes=("t", "shots")
+    )
     n_range: tuple[int, int] | None = _option(
-        None, _parse_int_range, "range of n", ("sweep", "gatecount"), metavar="LO:HI"
+        None, _parse_int_range, "range of n", ("sweep", "gatecount"), metavar="LO:HI", axes=("N", "p")
     )
-    t: float = _option(1.0, float, "evolution time", ("evolve", "sweep", "gatecount"))
+    t: float = _option(
+        1.0, float, "evolution time", ("evolve", "sweep", "gatecount"), axes=("N", "p", "shots")
+    )
     t_range: tuple[float, float] | None = _option(
-        None, _parse_float_range, "time range of a t sweep", ("sweep",), metavar="LO:HI"
+        None, _parse_float_range, "time range of a t sweep", ("sweep",), metavar="LO:HI", axes=("t",)
     )
-    dt: float = _option(0.01, float, "time step of a t sweep", ("sweep",))
+    dt: float = _option(0.01, float, "time step of a t sweep", ("sweep",), axes=("t",))
     mode: str = _option(
         "approx", str, "diagonal flavor (small-angle is approx)", ("evolve", "sweep"),
-        choices=("exact", "approx", "small-angle"),
+        choices=("exact", "approx", "small-angle"), axes=("shots",),
     )
     p: tuple[float, ...] = _option(
-        (), _parse_floats, "depolarizing levels", ("evolve", "sweep"), metavar="P[,P...]"
+        (), _parse_floats, "depolarizing levels", ("evolve", "sweep"), metavar="P[,P...]", axes=_POINT_AXES
     )
     shots: int = _option(0, int, "samples to draw (0 = none)", ("evolve",))
     shots_list: tuple[int, ...] = _option(
         (100, 1000, 10000, 100000), _parse_ints, "shot counts of a shots sweep", ("sweep",),
-        metavar="S[,S...]",
+        metavar="S[,S...]", axes=("shots",),
     )
-    seed: int = _option(0, int, "seed for all randomness", ("train", "evolve", "sweep"))
-    prep: str = _option("exact", str, "'exact' or a checkpoint JSON path", ("evolve", "sweep"))
-    out: str = _option("qwave-out", str, "output directory", _EVERY_COMMAND)
-    axis: str = _option("N", str, "sweep axis", ("sweep",), choices=("N", "t", "p", "shots"))
-    workers: int = _option(1, int, "worker processes for sweep points or restarts", ("train", "sweep"))
+    seed: int = _option(0, int, "seed for all randomness", ("train", "evolve", "sweep"), axes=("shots",))
+    prep: str = _option(
+        "exact", str, "'exact' or a checkpoint JSON path", ("evolve", "sweep"), axes=("shots",)
+    )
+    out: str = _option("qwave-out", str, "output directory", _EVERY_COMMAND, axes=_EVERY_AXIS)
+    axis: str = _option("N", str, "sweep axis", ("sweep",), choices=_EVERY_AXIS, axes=_EVERY_AXIS)
+    workers: int = _option(
+        1, int, "worker processes for sweep points or restarts", ("train", "sweep"), axes=_POINT_AXES
+    )
     iters: int = _option(5000, int, "optimizer iteration budget", ("train",))
     restarts: int = _option(3, int, "optimizer restarts", ("train",))
     depth: int | None = _option(None, int, "override ansatz depth", ("train", "gatecount"))
-    svg: bool = _option(True, _parse_bool, "skip SVG output (config key: svg = off)", _EVERY_COMMAND)
+    svg: bool = _option(
+        True, _parse_bool, "skip SVG output (config key: svg = off)", _EVERY_COMMAND, axes=_EVERY_AXIS
+    )
 
     def __post_init__(self):
         for f in fields(self):
@@ -286,14 +300,6 @@ def _write_sweep(out: Path, name: str, rows: list[pipeline.SweepRow]) -> Path:
     return path
 
 
-def _check_sweep_point_options(config: RunConfig) -> None:
-    """`pipeline.sweep_point` runs the approx circuit on the exact Ricker state, nothing else."""
-    if config.mode == "exact":
-        raise ValueError(f"sweep --axis {config.axis} runs only --mode approx, got {config.mode!r}")
-    if config.prep != "exact":
-        raise ValueError(f"sweep --axis {config.axis} runs only --prep exact, got {config.prep!r}")
-
-
 def _sweep_grid_axis(config: RunConfig, out: Path) -> int:
     """Axis N (noiseless) or p (one curve per noise level): epsilon vs grid size."""
     if config.axis == "N":
@@ -379,8 +385,6 @@ def _sweep_time_axis(config: RunConfig, out: Path) -> int:
 def _sweep_shots_axis(config: RunConfig, out: Path) -> int:
     if not config.shots_list:
         raise ValueError("empty shots axis")
-    if any(config.p):
-        raise ValueError("sweep --axis shots samples the noiseless state; it takes no --p")
     n, t = config.n, config.t
     N = 2 ** n
     prep, initial = _load_prep(config)
@@ -413,8 +417,9 @@ def _sweep_shots_axis(config: RunConfig, out: Path) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    if config.axis != "shots":
-        _check_sweep_point_options(config)
+    for f in fields(config):
+        if config.axis not in f.metadata["axes"] and getattr(config, f.name) != f.default:
+            raise ValueError(f"sweep --axis {config.axis} does not read option {f.name!r}")
     out = _out_dir(config)
     if config.axis in ("N", "p"):
         return _sweep_grid_axis(config, out)
@@ -425,19 +430,16 @@ def cmd_sweep(config: RunConfig) -> int:
 
 def cmd_gatecount(config: RunConfig) -> int:
     """Lowered tallies over an n range, plus quadratic fits of the two-qubit counts."""
-    out = _out_dir(config)
+    t = config.t
+    if t <= 0:
+        raise ValueError(f"gatecount needs --t > 0, got {t:g}: at t = 0 the evolution emits no gates")
     lo, hi = config.n_range or (4, 10)
     ns = list(range(lo, hi + 1))
-    t = config.t if config.t > 0 else 1.0
     rows = []
     for n in ns:
         ansatz = build_ansatz(n + 1, config.depth)
         prep = pipeline.prep_circuit_like(ansatz)
         rows.append(pipeline.gate_count_row(n, t, prep))
-    header = list(rows[0].keys())
-    path = out / "gatecounts.csv"
-    _write_csv(path, header, [tuple(r[k] for k in header) for r in rows])
-
     fits = {}
     for series_name in ("two_qubit_evolution", "two_qubit_with_prep"):
         coeffs, r2 = quadratic_fit(ns, [r[series_name] for r in rows])
@@ -446,6 +448,10 @@ def cmd_gatecount(config: RunConfig) -> int:
             f"{series_name}: {coeffs[0]:.4g} n^2 + {coeffs[1]:.4g} n + {coeffs[2]:.4g}"
             f"  (R^2 = {r2:.6f})"
         )
+    out = _out_dir(config)
+    header = list(rows[0].keys())
+    path = out / "gatecounts.csv"
+    _write_csv(path, header, [tuple(r[k] for k in header) for r in rows])
     (out / "gatecount_fit.json").write_text(json.dumps(fits, indent=2) + "\n")
     if config.svg:
         line_chart(

@@ -1,4 +1,4 @@
-"""Lowering to the hardware gateset {RZ, PhasedX, RZZ}, counts, fits, pruning.
+"""Lowering to the hardware gateset {RZ, PhasedX, RZZ}, gate counts, and the quadratic fit.
 
 Identities used (verified densely in the tests):
 
@@ -25,7 +25,6 @@ from .sim import (
     RZ,
     RZZ,
     Circuit,
-    Gate,
     phased_x,
     rz,
     rzz,
@@ -107,48 +106,3 @@ def quadratic_fit(xs, ys) -> tuple[tuple[float, float, float], float]:
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(residuals ** 2)) / ss_tot
     return (float(coeffs[0]), float(coeffs[1]), float(coeffs[2])), r2
-
-
-@dataclass(frozen=True)
-class PruneSpec:
-    """Keep controlled rotations R_kappa with kappa <= b; drop the finer ones."""
-
-    b: int
-
-    def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("pruning threshold b must be at least 1")
-
-
-def _rotation_order(angle: float) -> int:
-    """kappa with |angle| = 2 pi / 2^kappa, or raise if the gate is not a QFT rotation."""
-    if angle == 0.0:
-        raise ValueError("zero-angle controlled rotation is not part of a QFT")
-    kappa = math.log2(2.0 * math.pi / abs(angle))
-    nearest = round(kappa)
-    if abs(kappa - nearest) > 1e-9 or nearest < 2:
-        raise ValueError(f"controlled-phase angle {angle!r} is not a QFT rotation")
-    return int(nearest)
-
-
-def prune_qft(circuit: Circuit, spec: PruneSpec) -> tuple[Circuit, float | None]:
-    """Drop controlled rotations with kappa > b from a QFT/IQFT circuit.
-
-    Returns the pruned circuit and, for registers of at most 6 qubits, the
-    spectral-norm deviation ||U_exact - U_pruned||_2 (None for larger ones).
-    """
-    pruned = Circuit(circuit.num_qubits, global_phase=circuit.global_phase)
-    for gate in circuit.gates:
-        if gate.kind == HADAMARD:
-            pruned.gates.append(gate)
-        elif gate.kind == CPHASE:
-            if _rotation_order(gate.params[0]) <= spec.b:
-                pruned.gates.append(gate)
-        else:
-            raise ValueError(f"{gate.kind} gate does not belong to a QFT circuit")
-    if circuit.final_permutation is not None:
-        pruned._set_permutation(list(circuit.final_permutation))
-    deviation = None
-    if circuit.num_qubits <= 6:
-        deviation = float(np.linalg.norm(circuit.unitary() - pruned.unitary(), ord=2))
-    return pruned, deviation

@@ -30,15 +30,14 @@ from .stateprep import (
     BrickwallAnsatz,
     Checkpoint,
     GridSpec,
-    RickerParams,
     ansatz_to_circuit,
     ricker_target,
 )
 
 
-def ricker_state(n: int, params: RickerParams = RickerParams()) -> StateVector:
+def ricker_state(n: int) -> StateVector:
     """Normalized Ricker wavefield on the full n + 1 qubit register (velocity sector zero)."""
-    return ricker_target(GridSpec(n), params)
+    return ricker_target(GridSpec(n))
 
 
 def prep_circuit(checkpoint: Checkpoint) -> Circuit:
@@ -55,9 +54,9 @@ def evolution_circuit(n: int, t: float, mode: str = "approx", prep: Circuit | No
     return assemble_evolution(prep, EvolutionSpec(n=n, t=t, mode=mode))
 
 
-def exact_reference(n: int, t: float, params: RickerParams = RickerParams()) -> StateVector:
+def exact_reference(n: int, t: float) -> StateVector:
     """Spectral-method evolution with exact frequencies — the infidelity baseline."""
-    psi0 = ricker_state(n, params).amplitudes[: 2 ** n]
+    psi0 = ricker_state(n).amplitudes[: 2 ** n]
     return spectral.exact_evolve(psi0, np.zeros(2 ** n), t)
 
 
@@ -86,35 +85,26 @@ def wavefield_probabilities(state: StateVector | DensityMatrix, n: int) -> np.nd
     return probs[: 2 ** n]
 
 
-def circuit_infidelity(n: int, t: float, params: RickerParams = RickerParams()) -> float:
+def circuit_infidelity(n: int, t: float) -> float:
     """Noiseless end-to-end infidelity of the small-angle circuit, exact prep."""
     circuit = evolution_circuit(n, t, mode="approx")
-    evolved = simulate_noiseless(circuit, ricker_state(n, params))
-    return state_infidelity(exact_reference(n, t, params), evolved)
+    evolved = simulate_noiseless(circuit, ricker_state(n))
+    return state_infidelity(exact_reference(n, t), evolved)
 
 
-def noisy_infidelity(
-    n: int,
-    t: float,
-    p: float,
-    prep: Circuit | None = None,
-    params: RickerParams = RickerParams(),
-) -> float:
-    """Infidelity of the noisy small-angle run against the exact reference.
+def noisy_infidelity(n: int, t: float, p: float) -> float:
+    """Infidelity of the noisy small-angle run on the exactly injected Ricker state.
 
-    With `prep` None the Ricker state is injected exactly (no prep gates, so no
-    prep noise); otherwise the trained prep runs inside the noisy circuit.
+    The state is injected, not prepared, so only the evolution's gates are noisy.
     """
-    circuit = evolution_circuit(n, t, mode="approx", prep=prep)
-    initial = None if prep is not None else ricker_state(n, params)
-    rho = simulate_noisy(circuit, p, initial)
-    return state_infidelity(exact_reference(n, t, params), rho)
+    rho = simulate_noisy(evolution_circuit(n, t, mode="approx"), p, ricker_state(n))
+    return state_infidelity(exact_reference(n, t), rho)
 
 
-def model_epsilon(n: int, t: float, params: RickerParams = RickerParams()) -> tuple[float, float, float]:
+def model_epsilon(n: int, t: float) -> tuple[float, float, float]:
     """Closed-form (exact, second-order, bound) infidelity of the small-angle run."""
     N = 2 ** n
-    psi0 = ricker_state(n, params).amplitudes[:N]
+    psi0 = ricker_state(n).amplitudes[:N]
     c0k = spectral.dft(psi0, "inverse")
     return spectral.infidelity_model(c0k, t, N)
 
@@ -137,13 +127,13 @@ class SweepRow:
         return (self.n, self.N, self.t, self.p, self.epsilon, self.epsilon_model, self.bound)
 
 
-def sweep_point(n: int, t: float, p: float, params: RickerParams = RickerParams()) -> SweepRow:
+def sweep_point(n: int, t: float, p: float) -> SweepRow:
     """One (n, t, p) run: measured epsilon (noisy if p > 0) plus model values."""
-    eps_model, _, bound = model_epsilon(n, t, params)
+    eps_model, _, bound = model_epsilon(n, t)
     if p > 0.0:
-        eps = noisy_infidelity(n, t, p, params=params)
+        eps = noisy_infidelity(n, t, p)
     else:
-        eps = circuit_infidelity(n, t, params)
+        eps = circuit_infidelity(n, t)
     return SweepRow(n=n, N=2 ** n, t=t, p=p, epsilon=eps, epsilon_model=eps_model, bound=bound)
 
 

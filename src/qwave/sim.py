@@ -315,7 +315,10 @@ class StateVector:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace density operator."""
+    """Hermitian, unit-trace, positive semidefinite density operator.
+
+    `check=False` skips the three checks for a matrix valid by construction.
+    """
 
     def __init__(self, entries: np.ndarray, check: bool = True):
         entries = np.asarray(entries, dtype=complex)
@@ -327,6 +330,10 @@ class DensityMatrix:
                 raise ValueError("density matrix must have unit trace")
             if np.max(np.abs(entries - entries.conj().T)) > 1e-8:
                 raise ValueError("density matrix must be Hermitian")
+            try:
+                np.linalg.cholesky(entries + 1e-8 * np.eye(entries.shape[0]))
+            except np.linalg.LinAlgError:
+                raise ValueError("density matrix must be positive semidefinite") from None
         self.num_qubits = n
         self.entries = entries
 
@@ -335,18 +342,8 @@ class DensityMatrix:
         a = state.amplitudes
         return cls(np.outer(a, a.conj()), check=False)
 
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
-
     def probabilities(self) -> np.ndarray:
         return np.clip(np.diag(self.entries).real, 0.0, None)
-
-    def is_positive(self, tol: float = 1e-8) -> bool:
-        try:
-            np.linalg.cholesky(self.entries + tol * np.eye(self.entries.shape[0]))
-            return True
-        except np.linalg.LinAlgError:
-            return False
 
 
 @dataclass(frozen=True)
@@ -423,8 +420,6 @@ def apply_circuit_noisy(rho: DensityMatrix, circuit: Circuit, noise: NoiseModel)
     """Run `circuit` on a density matrix, depolarizing after every two-qubit gate."""
     if rho.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit act on different register sizes")
-    if not rho.is_positive():
-        raise ValueError("input density matrix is not positive semidefinite")
     m = circuit.num_qubits
     entries = rho.entries
     for gate in circuit.gates:

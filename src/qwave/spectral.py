@@ -1,10 +1,10 @@
 """Classical spectral reference for the periodic 1D wave equation.
 
 Everything here is circuit-free linear algebra on the N-point grid
-x_j = j/N of the unit interval: the central-difference Laplacian, its
-plane-wave eigenbasis, dense DFT evolution with exact and small-angle
-frequencies, and the closed-form infidelity model that the circuit
-pipeline is checked against.
+x_j = j/N of the unit interval: the spectrum of the central-difference
+Laplacian in its plane-wave eigenbasis, dense DFT evolution with exact and
+small-angle frequencies, and the closed-form infidelity model that the
+circuit pipeline is checked against.
 
 The DFT is built as an explicit O(N^2) matrix (kernel e^{+i 2 pi j k / N}
 / sqrt(N)) rather than an FFT, so it is an independent reference for the
@@ -43,18 +43,6 @@ def dft(vector: np.ndarray, direction: str = "forward") -> np.ndarray:
     if direction == "inverse":
         return F.conj().T @ vector
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-def laplacian_matrix(N: int) -> np.ndarray:
-    """Central-difference periodic Laplacian on N grid points, spacing a = 1/N."""
-    if N < 2:
-        raise ValueError("need at least two grid points")
-    lap = np.zeros((N, N))
-    for j in range(N):
-        lap[j, j] = -2.0
-        lap[j, (j - 1) % N] += 1.0
-        lap[j, (j + 1) % N] += 1.0
-    return lap * N ** 2
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -337,20 +336,17 @@ def optimize(
     ansatz: BrickwallAnsatz,
     target: StateVector,
     config: OptimizerConfig = OptimizerConfig(),
-    theta_init: np.ndarray | None = None,
 ) -> TrainingResult:
     """L-BFGS minimization of the prep cost from uniform-[0,1) initial angles.
 
-    Deterministic given (config, theta_init); tracks the best angles over all
-    evaluations and records a monotone best-cost-per-iteration history.
+    Deterministic given config; tracks the best angles over all evaluations
+    and records a monotone best-cost-per-iteration history.
     Raises on NaN cost instead of returning a bogus optimum.
     """
     from scipy.optimize import minimize  # deferred: it dominates the import time of qwave.cli
 
     _check_target(ansatz, target)
-    if theta_init is None:
-        theta_init = np.random.default_rng(config.seed).random(ansatz.num_params)
-    theta_init = _validated_theta(ansatz, theta_init)
+    theta_init = np.random.default_rng(config.seed).random(ansatz.num_params)
 
     best = {"cost": math.inf, "theta": theta_init.copy()}
     history: list[float] = []
@@ -388,19 +384,6 @@ def optimize(
         converged=bool(result.status == 0),
         seed=config.seed,
     )
-
-
-def optimize_multistart(
-    ansatz: BrickwallAnsatz,
-    target: StateVector,
-    config: OptimizerConfig = OptimizerConfig(),
-    seeds: Sequence[int] = (0, 1, 2),
-) -> TrainingResult:
-    """Best-of-restarts wrapper: independent seeds, lowest final cost wins."""
-    if not seeds:
-        raise ValueError("need at least one restart seed")
-    results = [optimize(ansatz, target, replace(config, seed=int(s))) for s in seeds]
-    return min(results, key=lambda r: r.cost)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Wave-evolution circuit checks: QFT construction, factored diagonal phases,
-full assembly against the spectral reference, and the text serialization.
+and full assembly against the spectral reference.
 
 The independent oracles are the dense DFT matrix, a directly constructed
 signed-wavenumber phase table, and the closed-form spectral evolution.
@@ -12,17 +12,13 @@ import pytest
 
 from qwave.circuits import (
     EvolutionSpec,
-    approx_diagonal_angles,
     assemble_evolution,
     build_approx_diagonal,
     build_exact_diagonal,
     build_iqft,
     build_qft,
-    circuit_from_text,
-    circuit_to_text,
-    smallangle_diagonal_values,
 )
-from qwave.sim import Circuit, StateVector, apply_circuit, hadamard, phased_x, rz, rzz
+from qwave.sim import Circuit, StateVector, apply_circuit, hadamard, rzz
 from qwave.spectral import dft_matrix, exact_evolve, smallangle_evolve, wavenumbers
 
 
@@ -80,14 +76,17 @@ def test_qft_gate_budget():
 
 
 def test_factored_diagonal_angles_smallest_case():
+    # n = 3: RZ(3 pi t); the qubit-1-controlled RZ(-8 pi t) split as RZ(-4 pi t) . RZZ(4 pi t);
+    # then RZZ(-2^{3-q} pi t) on (0, q) for q = 2, 3
     t = 0.37
-    angles = approx_diagonal_angles(3, t)
-    assert angles == {
-        "theta0": pytest.approx(3 * math.pi * t),
-        "theta1": pytest.approx(-8 * math.pi * t),
-        "theta2": pytest.approx(-2 * math.pi * t),
-        "theta3": pytest.approx(-math.pi * t),
-    }
+    gates = [(g.kind, g.targets, g.params) for g in build_approx_diagonal(3, t)]
+    assert gates == [
+        ("RZ", (0,), (pytest.approx(3 * math.pi * t),)),
+        ("RZ", (0,), (pytest.approx(-4 * math.pi * t),)),
+        ("RZZ", (0, 1), (pytest.approx(4 * math.pi * t),)),
+        ("RZZ", (0, 2), (pytest.approx(-2 * math.pi * t),)),
+        ("RZZ", (0, 3), (pytest.approx(-math.pi * t),)),
+    ]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -99,7 +98,6 @@ def test_factored_diagonal_is_exact_including_phase(n):
         u = build_approx_diagonal(n, t).unitary()
         expected = np.concatenate([np.exp(-2j * np.pi * k * t), np.exp(2j * np.pi * k * t)])
         assert np.max(np.abs(u - np.diag(expected))) < 1e-10
-        assert np.allclose(smallangle_diagonal_values(n, t), expected)
 
 
 def test_factored_diagonal_at_unit_time_is_identity():
@@ -178,56 +176,3 @@ def test_assembled_circuit_has_no_trailing_relabeling():
     # the inverse QFT's bit reversal must cancel against the QFT's
     circ = assemble_evolution(None, EvolutionSpec(3, 0.7))
     assert circ.final_permutation is None
-
-
-# ------------------------------------------------------------------ text format
-
-
-def test_text_round_trip_preserves_everything():
-    circ = Circuit(3, global_phase=0.625)
-    circ.append(hadamard(0))
-    circ.append(rz(-1.25, 2))
-    circ.append(phased_x(0.5, -0.75, 1))
-    circ.append(rzz(2.5, 0, 2))
-    circ.append(build_exact_diagonal(2, 0.3))
-    circ._set_permutation([2, 0, 1])
-    text = circuit_to_text(circ)
-    parsed = circuit_from_text(text)
-    assert parsed.num_qubits == 3
-    assert parsed.global_phase == circ.global_phase
-    assert parsed.final_permutation == [2, 0, 1]
-    assert [g.kind for g in parsed.gates] == [g.kind for g in circ.gates]
-    assert np.max(np.abs(parsed.unitary() - circ.unitary())) < 1e-15
-    # serialization is stable under a second pass
-    assert circuit_to_text(parsed) == text
-
-
-def test_text_parser_tolerates_comments_and_case():
-    text = """
-    # a hand-written circuit
-    QUBITS 2
-    h 0        # lower-case kinds are accepted
-    RZ 1 0.5
-    CPHASE 0 1 1.5707963267948966
-    PHASE 0.25
-    PERMUTE 1 0
-    """
-    circ = circuit_from_text(text)
-    assert [g.kind for g in circ.gates] == ["H", "RZ", "CPHASE"]
-    assert circ.global_phase == 0.25
-    assert circ.final_permutation == [1, 0]
-
-
-def test_text_parser_rejects_malformed_input():
-    with pytest.raises(ValueError):
-        circuit_from_text("")
-    with pytest.raises(ValueError):
-        circuit_from_text("RZ 0 0.5\n")  # gates before QUBITS
-    with pytest.raises(ValueError):
-        circuit_from_text("QUBITS 2\nWOBBLE 0 1\n")
-
-
-def test_qft_round_trips_through_text():
-    circ = build_qft(4)
-    parsed = circuit_from_text(circuit_to_text(circ))
-    assert np.max(np.abs(parsed.unitary() - dft_matrix(16))) < 1e-12

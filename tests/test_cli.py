@@ -358,16 +358,29 @@ def test_sweep_time_axis_rejects_a_list_of_noise_levels(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
-@pytest.mark.parametrize("axis", ["N", "p", "t"])
-@pytest.mark.parametrize("flag", [("--mode", "exact"), ("--prep", "/nonexistent.json")])
-def test_sweep_point_axes_reject_mode_and_prep(tmp_path, capsys, axis, flag):
-    # every sweep point runs the approx circuit on the exact Ricker state
+# What each sweep axis reads besides axis, out and svg.
+AXIS_READS = {
+    "N": {"n_range", "t", "p", "workers"},
+    "p": {"n_range", "t", "p", "workers"},
+    "t": {"n", "t_range", "dt", "p", "workers"},
+    "shots": {"n", "t", "mode", "prep", "shots_list", "seed"},
+}
+
+
+@pytest.mark.parametrize(
+    ("axis", "name"),
+    [(axis, name) for axis, reads in AXIS_READS.items()
+     for name in sorted(READS["sweep"] - reads - {"axis", "out", "svg"})],
+)
+def test_sweep_rejects_options_its_axis_does_not_read(tmp_path, capsys, axis, name):
+    for a, reads in AXIS_READS.items():
+        tagged = {f.name for f in fields(RunConfig) if a in f.metadata["axes"]}
+        assert tagged == reads | {"axis", "out", "svg"}
     out = tmp_path / "run"
-    rc = cli.main(["sweep", "--axis", axis, "--n-range", "2:3", "--n", "2", "--p", "1e-3",
-                   *flag, "--out", str(out), "--no-svg"])
+    rc = cli.main(["sweep", "--axis", axis, *SAMPLES[name][0], "--out", str(out), "--no-svg"])
     assert rc == 1
-    assert f"runs only {flag[0]}" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.csv"))
+    assert f"sweep --axis {axis} does not read option {name!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_shots_axis(tmp_path, capsys):
@@ -380,16 +393,6 @@ def test_sweep_shots_axis(tmp_path, capsys):
     assert [int(r[3]) for r in rows] == [200, 5000]
     assert float(rows[1][4]) < float(rows[0][4])  # more shots, smaller error
     capsys.readouterr()
-
-
-def test_sweep_shots_axis_rejects_noise(tmp_path, capsys):
-    # the shots axis samples the noiseless state; a noise level is refused, not dropped
-    out = tmp_path / "run"
-    rc = cli.main(["sweep", "--axis", "shots", "--n", "3", "--t", "0.4", "--shots-list", "200,5000",
-                   "--p", "0.5", "--out", str(out), "--no-svg"])
-    assert rc == 1
-    assert "takes no --p" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.csv"))
 
 
 # ------------------------------------------------------------------- gatecount
@@ -409,6 +412,21 @@ def test_gatecount_outputs(tmp_path, capsys):
     assert fits["two_qubit_evolution"]["a"] == pytest.approx(1.0)
     assert (out / "gatecounts.svg").exists()
     assert "R^2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("t", ["0", "-0.5"])
+def test_gatecount_rejects_a_time_without_gates(tmp_path, capsys, t):
+    out = tmp_path / "run"
+    assert cli.main(["gatecount", "--n-range", "4:6", "--t", t, "--out", str(out)]) == 1
+    assert "at t = 0 the evolution emits no gates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gatecount_fits_before_it_writes(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["gatecount", "--n-range", "4:5", "--out", str(out)]) == 1
+    assert "at least three points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ entry point

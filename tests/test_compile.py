@@ -1,5 +1,5 @@
-"""Gate-compiler checks: hardware-gateset lowering, tallies/depth, quadratic
-fits, and QFT pruning.
+"""Gate-compiler checks: hardware-gateset lowering, tallies/depth, and quadratic
+fits.
 
 Oracles: dense unitary comparison before/after each rewrite, hand-counted
 layer structures, and exactly generated polynomial data.
@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from qwave.circuits import build_iqft, build_qft
-from qwave.compile import GateCounts, PruneSpec, count, lower, prune_qft, quadratic_fit
+from qwave.circuits import build_qft
+from qwave.compile import GateCounts, count, lower, quadratic_fit
 from qwave.sim import (
     Circuit,
     cphase,
@@ -140,59 +140,3 @@ def test_quadratic_fit_constant_data():
     (_, _, c), r2 = quadratic_fit([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0])
     assert c == pytest.approx(5.0)
     assert r2 == 1.0
-
-
-# ----------------------------------------------------------------------- pruning
-
-
-def test_prune_keeps_everything_at_large_threshold():
-    for circ in (build_qft(4), build_iqft(4)):
-        pruned, deviation = prune_qft(circ, PruneSpec(b=4))
-        assert len(pruned) == len(circ)
-        assert deviation == pytest.approx(0.0, abs=1e-12)
-
-
-def test_prune_at_threshold_one_keeps_only_hadamards():
-    pruned, deviation = prune_qft(build_qft(5), PruneSpec(b=1))
-    assert [g.kind for g in pruned.gates] == ["H"] * 5
-    assert deviation is not None and deviation > 0.1
-
-
-def test_prune_threshold_filters_by_rotation_order():
-    # kappa = 2..n survive when kappa <= b: for n = 5 and b = 3 that keeps
-    # the 4 + 3 coarse rotations and drops the 2 + 1 fine ones
-    pruned, _ = prune_qft(build_qft(5), PruneSpec(b=3))
-    assert count(pruned).per_kind == {"H": 5, "CPHASE": 7}
-    angles = sorted(abs(g.params[0]) for g in pruned.gates if g.kind == "CPHASE")
-    assert min(angles) == pytest.approx(2 * math.pi / 8)
-
-
-def test_prune_deviation_decreases_once_past_saturation():
-    # at tiny b nearly all phase structure is gone and the operator-norm
-    # deviation sits at its ceiling of 2, where it can wiggle by O(1e-3);
-    # past that plateau it must fall monotonically to zero
-    for n in (3, 4, 5, 6):
-        deviations = []
-        for b in range(1, n + 1):
-            _, dev = prune_qft(build_qft(n), PruneSpec(b=b))
-            deviations.append(dev)
-        for lo, hi in zip(deviations[1:], deviations[:-1]):
-            assert lo <= hi + 5e-3
-        assert deviations[-1] == pytest.approx(0.0, abs=1e-12)
-        below_ceiling = [d for d in deviations if d < 1.9]
-        assert all(x <= y + 1e-12 for x, y in zip(below_ceiling[1:], below_ceiling))
-
-
-def test_prune_deviation_unreported_for_large_registers():
-    pruned, deviation = prune_qft(build_qft(7), PruneSpec(b=3))
-    assert deviation is None
-    assert count(pruned).per_kind["H"] == 7
-
-
-def test_prune_rejects_non_qft_circuits():
-    with pytest.raises(ValueError):
-        prune_qft(Circuit(2, [rzz(0.5, 0, 1)]), PruneSpec(b=2))
-    with pytest.raises(ValueError):
-        prune_qft(Circuit(2, [cphase(1.0, 0, 1)]), PruneSpec(b=2))  # not 2 pi / 2^k
-    with pytest.raises(ValueError):
-        PruneSpec(b=0)

@@ -8,6 +8,7 @@ vs dense DFT algebra), so their agreement is the strongest oracle here.
 import numpy as np
 import pytest
 
+from oracles import purity
 from qwave import pipeline
 from qwave.sim import DensityMatrix, StateVector, state_infidelity
 from qwave.spectral import exact_evolve, smallangle_evolve
@@ -101,8 +102,8 @@ def test_trained_prep_runs_inside_noisy_circuit():
     # state stays pure while the trained prep decoheres
     injected = pipeline.simulate_noisy(pipeline.evolution_circuit(n, 0.0), 1e-3, target)
     prepared = pipeline.simulate_noisy(pipeline.evolution_circuit(n, 0.0, prep=prep), 1e-3)
-    assert injected.purity() == pytest.approx(1.0, abs=1e-12)
-    assert prepared.purity() < 1.0 - 1e-5
+    assert purity(injected) == pytest.approx(1.0, abs=1e-12)
+    assert purity(prepared) < 1.0 - 1e-5
 
 
 def test_measured_infidelity_matches_closed_form_model():
@@ -112,6 +113,15 @@ def test_measured_infidelity_matches_closed_form_model():
         assert measured == pytest.approx(exact, abs=1e-12)
         assert abs(exact - second) < 0.1 * max(exact, 1e-30) + t ** 4
         assert exact <= bound + 1e-15
+
+
+def test_noiseless_circuit_at_a_generic_time_matches_model_and_fourth_order_law():
+    # at t = 1 the small-angle diagonal is the identity and hides a wrong QFT; t = 0.37 does not
+    t, ns = 0.37, range(4, 11)
+    measured = [pipeline.circuit_infidelity(n, t) for n in ns]
+    for n, eps in zip(ns, measured):
+        assert eps == pytest.approx(pipeline.model_epsilon(n, t)[0], rel=1e-5)
+    assert pipeline.loglog_slope([2 ** n for n in ns], measured) == pytest.approx(-4.0, abs=0.3)
 
 
 def test_sweep_point_rows():

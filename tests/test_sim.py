@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import purity
 from qwave.sim import (
     Circuit,
     DensityMatrix,
@@ -360,11 +361,13 @@ def test_density_matrix_validation_and_helpers():
         DensityMatrix(np.eye(4))  # trace 4
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # Hermitian, unit trace, not positive
     pure = DensityMatrix.from_statevector(_random_state(2, rng))
-    assert pure.purity() == pytest.approx(1.0)
-    assert pure.is_positive()
+    assert purity(pure) == pytest.approx(1.0)
+    DensityMatrix(pure.entries)  # a pure state's projector passes every check
     mixed = _random_density(2, rng)
-    assert mixed.purity() < 1.0
+    assert purity(mixed) < 1.0
     assert np.trace(mixed.entries).real == pytest.approx(1.0)
     assert mixed.probabilities().sum() == pytest.approx(1.0)
 
@@ -437,7 +440,7 @@ def test_channel_never_increases_purity():
     for p in (0.01, 0.2, 0.9):
         rho = DensityMatrix.from_statevector(_random_state(3, rng))
         out = DensityMatrix(depolarize_pair(rho.entries, 0, 2, p, 3), check=False)
-        assert out.purity() <= rho.purity() + 1e-12
+        assert purity(out) <= purity(rho) + 1e-12
 
 
 def test_noisy_run_at_zero_p_matches_pure_evolution():
@@ -469,7 +472,7 @@ def test_noise_is_attached_to_each_two_qubit_gate():
 def test_single_qubit_only_circuit_stays_pure_under_noise():
     circ = Circuit(2, [hadamard(0), phased_x(0.9, 0.2, 1), rz(0.5, 0)])
     rho = apply_circuit_noisy(DensityMatrix.from_statevector(StateVector.zero(2)), circ, NoiseModel(0.4))
-    assert rho.purity() == pytest.approx(1.0)
+    assert purity(rho) == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------- measurement

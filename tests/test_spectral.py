@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import laplacian_matrix
 from qwave.spectral import (
     SpectralModel,
     dft,
     dft_matrix,
     exact_evolve,
     infidelity_model,
-    laplacian_matrix,
     mc_errors,
     shots_required,
     smallangle_evolve,

@@ -34,7 +34,6 @@ from qwave.stateprep import (
     default_depth,
     infidelity,
     optimize,
-    optimize_multistart,
     prepare_state,
     ricker_target,
     ricker_wavefield,
@@ -400,18 +399,6 @@ def test_optimizer_raises_on_non_finite_cost():
     bad = StateVector(np.array([math.nan, 0, 0, 0], dtype=complex), check=False)
     with pytest.raises(FloatingPointError):
         optimize(ans, bad, OptimizerConfig(max_iters=10, seed=0))
-
-
-def test_multistart_returns_best_seed():
-    ans = build_ansatz(3)
-    target = ricker_target(GridSpec(2))
-    cfg = OptimizerConfig(max_iters=40, seed=99)
-    best = optimize_multistart(ans, target, cfg, seeds=(0, 1, 2))
-    singles = [optimize(ans, target, OptimizerConfig(max_iters=40, seed=s)) for s in (0, 1, 2)]
-    assert best.cost == min(r.cost for r in singles)
-    assert best.seed in (0, 1, 2)
-    with pytest.raises(ValueError):
-        optimize_multistart(ans, target, cfg, seeds=())
 
 
 def test_optimizer_config_validation():
