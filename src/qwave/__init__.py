@@ -38,9 +38,9 @@ from .sim import (
     state_infidelity,
 )
 from .spectral import (
-    SpectralModel,
     dft,
     exact_evolve,
+    exact_frequencies,
     infidelity_model,
     mc_errors,
     shots_required,

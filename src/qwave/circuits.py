@@ -28,7 +28,7 @@ from .sim import (
     rz,
     rzz,
 )
-from .spectral import SpectralModel
+from .spectral import exact_frequencies
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def build_exact_diagonal(n: int, t: float) -> Gate:
     """Native diagonal injector e^{-i t 2N sin(pi k / N) z0} on qubits 0..n."""
     if n < 1:
         raise ValueError("need at least one spatial qubit")
-    omega = SpectralModel(2 ** n).exact_frequencies
+    omega = exact_frequencies(2 ** n)
     values = np.concatenate([np.exp(-1j * t * omega), np.exp(+1j * t * omega)])
     return diagonal_injector(values, tuple(range(n + 1)))
 

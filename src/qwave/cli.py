@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -246,6 +247,7 @@ def cmd_evolve(config: RunConfig) -> int:
     p = _single_p(config)
     if config.mode == "exact" and p > 0.0:
         raise ValueError("evolve --mode exact runs noiselessly: no noise reaches its (n+1)-qubit DIAG gate")
+    pipeline.check_memory(config.n, p > 0.0)
     out = _out_dir(config)
     n, t = config.n, config.t
     N = 2 ** n
@@ -300,14 +302,18 @@ def _write_sweep(out: Path, name: str, rows: list[pipeline.SweepRow]) -> Path:
     return path
 
 
-def _sweep_grid_axis(config: RunConfig, out: Path) -> int:
+def _sweep_grid_axis(config: RunConfig) -> int:
     """Axis N (noiseless) or p (one curve per noise level): epsilon vs grid size."""
+    if config.t <= 0:
+        raise ValueError(f"sweep --axis {config.axis} needs --t > 0, got {config.t:g}: at t = 0 epsilon is 0")
     if config.axis == "N":
         lo, hi = config.n_range or (5, 8)
         p_list: tuple[float, ...] = config.p or (0.0,)
     else:
         lo, hi = config.n_range or (2, 9)
         p_list = config.p or (1e-5, 1e-4, 1e-3)
+    pipeline.check_memory(hi, max(p_list) > 0.0)
+    out = _out_dir(config)
     ns = list(range(lo, hi + 1))
     points = [(n, config.t, p) for p in p_list for n in ns]
     rows = _map(pipeline.sweep_point, points, config.workers)
@@ -348,14 +354,14 @@ def _sweep_grid_axis(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _sweep_time_axis(config: RunConfig, out: Path) -> int:
+def _sweep_time_axis(config: RunConfig) -> int:
     p = _single_p(config)
+    pipeline.check_memory(config.n, p > 0.0)
+    out = _out_dir(config)
     t_lo, t_hi = config.t_range or (0.1, 1.0)
-    steps = int(round((t_hi - t_lo) / config.dt))
-    ts = [t_lo + i * config.dt for i in range(steps + 1)]
-    if not ts:
-        raise ValueError("empty time axis")
-    points = [(config.n, t, p) for t in ts]
+    # the slack keeps an end point that dt divides up to rounding, e.g. 0.9 / 0.3 = 2.9999999999999996
+    steps = math.floor((t_hi - t_lo) / config.dt + 1e-9)
+    points = [(config.n, t_lo + i * config.dt, p) for i in range(steps + 1)]
     rows = _map(pipeline.sweep_point, points, config.workers)
     path = _write_sweep(out, "sweep_t.csv", rows)
 
@@ -382,9 +388,11 @@ def _sweep_time_axis(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _sweep_shots_axis(config: RunConfig, out: Path) -> int:
+def _sweep_shots_axis(config: RunConfig) -> int:
     if not config.shots_list:
         raise ValueError("empty shots axis")
+    pipeline.check_memory(config.n, noisy=False)
+    out = _out_dir(config)
     n, t = config.n, config.t
     N = 2 ** n
     prep, initial = _load_prep(config)
@@ -420,12 +428,11 @@ def cmd_sweep(config: RunConfig) -> int:
     for f in fields(config):
         if config.axis not in f.metadata["axes"] and getattr(config, f.name) != f.default:
             raise ValueError(f"sweep --axis {config.axis} does not read option {f.name!r}")
-    out = _out_dir(config)
     if config.axis in ("N", "p"):
-        return _sweep_grid_axis(config, out)
+        return _sweep_grid_axis(config)
     if config.axis == "t":
-        return _sweep_time_axis(config, out)
-    return _sweep_shots_axis(config, out)
+        return _sweep_time_axis(config)
+    return _sweep_shots_axis(config)
 
 
 def cmd_gatecount(config: RunConfig) -> int:

@@ -10,6 +10,7 @@ events the lowered circuit would produce.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ from .stateprep import (
     ansatz_to_circuit,
     ricker_target,
 )
+
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
 
 def ricker_state(n: int) -> StateVector:
@@ -58,6 +61,20 @@ def exact_reference(n: int, t: float) -> StateVector:
     """Spectral-method evolution with exact frequencies — the infidelity baseline."""
     psi0 = ricker_state(n).amplitudes[: 2 ** n]
     return spectral.exact_evolve(psi0, np.zeros(2 ** n), t)
+
+
+def check_memory(n: int, noisy: bool) -> None:
+    """Refuse a run on n spatial qubits whose working arrays would not fit in physical memory.
+
+    Peak RSS above the import baseline measured 4.1-4.6 density matrices (n = 8..10) and
+    8.6-11.3 statevectors (n = 16..21), hence 5 and 11 working copies of the state.
+    """
+    dim = 2 ** (n + 1)
+    need = 16 * (5 * dim * dim if noisy else 11 * dim)
+    if need > PHYSICAL_MEMORY:
+        kind = "noisy" if noisy else "noiseless"
+        raise ValueError(f"a {kind} run at n={n} needs about {need / 2 ** 30:.3g} GiB of working arrays, "
+                         f"more than the {PHYSICAL_MEMORY / 2 ** 30:.3g} GiB of physical memory")
 
 
 def simulate_noiseless(circuit: Circuit, initial: StateVector | None = None) -> StateVector:

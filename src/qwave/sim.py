@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -157,7 +156,6 @@ def _invert_permutation(perm: Sequence[int]) -> list[int]:
     return inv
 
 
-@lru_cache(maxsize=128)
 def _permutation_source(num_qubits: int, perm: tuple[int, ...]) -> np.ndarray:
     """Source basis index of each destination index when wire q's bit moves to wire perm[q]."""
     dst = np.arange(2 ** num_qubits)
@@ -446,17 +444,20 @@ def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int)
 
 
 def state_infidelity(exact: StateVector, state: StateVector | DensityMatrix) -> float:
-    """1 - <exact| rho |exact> for mixed states; 1 - |<exact|psi>|^2 for pure ones."""
+    """1 - <exact| rho |exact> for mixed states; 1 - |<exact|psi>|^2 for pure ones, evaluated without
+    cancellation as |d|^2 (1 - |d|^2 / 4) with d = exact - e^{-i arg<exact|psi>} psi."""
     if exact.num_qubits != state.num_qubits:
         raise ValueError("states act on different register sizes")
     if isinstance(state, StateVector):
-        fidelity = abs(np.vdot(exact.amplitudes, state.amplitudes)) ** 2
+        overlap = np.vdot(exact.amplitudes, state.amplitudes)
+        d = exact.amplitudes - np.exp(-1j * np.angle(overlap)) * state.amplitudes
+        d2 = np.vdot(d, d).real
+        eps = d2 * (1.0 - d2 / 4.0)
     else:
         val = np.vdot(exact.amplitudes, state.entries @ exact.amplitudes)
         if abs(val.imag) > 1e-10:
             raise ValueError("fidelity has a non-negligible imaginary part; invalid density matrix")
-        fidelity = val.real
-    eps = 1.0 - fidelity
+        eps = 1.0 - val.real
     if not -1e-9 <= eps <= 1.0 + 1e-9:
         raise ValueError(f"infidelity {eps} outside [0, 1]")
     return float(min(max(eps, 0.0), 1.0))

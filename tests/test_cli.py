@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qwave import cli, pipeline
+from qwave.spectral import dft_matrix
 from qwave.cli import (
     RunConfig,
     _parse_bool,
@@ -339,6 +340,19 @@ def test_sweep_time_axis(tmp_path, capsys):
     assert "slope vs t" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(("grid", "ts"), [
+    (["--t-range", "0.1:1.0", "--dt", "0.35"], [0.1, 0.45, 0.8]),  # 1.15 would overshoot the range
+    (["--t-range", "0.1:1.0", "--dt", "0.3"], [0.1, 0.4, 0.7, 1.0]),  # 0.9 / 0.3 = 2.9999999999999996
+    ([], [0.1 + 0.01 * i for i in range(91)]),
+])
+def test_sweep_time_axis_stays_inside_its_range(tmp_path, capsys, grid, ts):
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--axis", "t", "--n", "2", *grid, "--out", str(out), "--no-svg"]) == 0
+    _, rows = _read_csv(out / "sweep_t.csv")
+    assert [float(r[2]) for r in rows] == pytest.approx(ts)
+    capsys.readouterr()
+
+
 def test_sweep_time_axis_with_workers(tmp_path, capsys):
     out1, out2 = tmp_path / "serial", tmp_path / "parallel"
     args = ["sweep", "--axis", "t", "--n", "3", "--t-range", "0.2:0.4", "--dt", "0.1",
@@ -356,6 +370,44 @@ def test_sweep_time_axis_rejects_a_list_of_noise_levels(tmp_path, capsys):
     assert rc == 1
     assert "--p takes one value" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("axis", ["N", "p"])
+@pytest.mark.parametrize("t", ["0", "-0.5"])
+def test_grid_sweeps_refuse_a_time_without_dispersion(tmp_path, capsys, axis, t):
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--axis", axis, "--n-range", "4:6", "--t", t, "--out", str(out)]) == 1
+    assert f"sweep --axis {axis} needs --t > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_run_beyond_physical_memory_before_any_point(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 2 ** 20)
+    ran = []
+    monkeypatch.setattr(pipeline, "sweep_point", lambda *point: ran.append(point))
+    out = tmp_path / "run"
+    rc = cli.main(["sweep", "--axis", "p", "--n-range", "2:9", "--p", "1e-3", "--out", str(out)])
+    assert rc == 1
+    assert "a noisy run at n=9 needs about" in capsys.readouterr().err
+    assert ran == []
+    assert not out.exists()
+
+
+def test_evolve_refuses_a_density_matrix_beyond_physical_memory(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["evolve", "--n", "20", "--p", "1e-3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: a noisy run at n=20 needs about" in err and "GiB of physical memory" in err
+    assert not out.exists()
+
+
+def test_runs_never_build_the_dense_dft(tmp_path, capsys):
+    dft_matrix.cache_clear()
+    assert cli.main(["sweep", "--axis", "N", "--n-range", "4:6", "--out", str(tmp_path / "a"), "--no-svg"]) == 0
+    assert cli.main(["evolve", "--n", "4", "--p", "1e-3", "--out", str(tmp_path / "b"), "--no-svg"]) == 0
+    assert cli.main(["evolve", "--n", "4", "--mode", "exact", "--out", str(tmp_path / "c"), "--no-svg"]) == 0
+    assert dft_matrix.cache_info().misses == 0
+    capsys.readouterr()
 
 
 # What each sweep axis reads besides axis, out and svg.

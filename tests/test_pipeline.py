@@ -2,7 +2,7 @@
 spectral route, noisy runs, sweep rows, and the gate-count table.
 
 The two routes are computed by disjoint code paths (gate-level simulation
-vs dense DFT algebra), so their agreement is the strongest oracle here.
+vs FFT algebra), so their agreement is the strongest oracle here.
 """
 
 import numpy as np
@@ -117,11 +117,21 @@ def test_measured_infidelity_matches_closed_form_model():
 
 def test_noiseless_circuit_at_a_generic_time_matches_model_and_fourth_order_law():
     # at t = 1 the small-angle diagonal is the identity and hides a wrong QFT; t = 0.37 does not
-    t, ns = 0.37, range(4, 11)
+    t, ns = 0.37, range(4, 17)
     measured = [pipeline.circuit_infidelity(n, t) for n in ns]
     for n, eps in zip(ns, measured):
         assert eps == pytest.approx(pipeline.model_epsilon(n, t)[0], rel=1e-5)
     assert pipeline.loglog_slope([2 ** n for n in ns], measured) == pytest.approx(-4.0, abs=0.3)
+
+
+def test_memory_guard_refuses_runs_beyond_physical_memory(monkeypatch):
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", int(7.8 * 2 ** 30))
+    pipeline.check_memory(12, noisy=True)  # 5 density matrices of 2^13 x 2^13: 5 GiB
+    pipeline.check_memory(24, noisy=False)  # 11 statevectors of 2^25 amplitudes: 5.5 GiB
+    with pytest.raises(ValueError, match="a noisy run at n=13 needs about 20 GiB"):
+        pipeline.check_memory(13, noisy=True)
+    with pytest.raises(ValueError, match="a noiseless run at n=25 needs about 11 GiB"):
+        pipeline.check_memory(25, noisy=False)
 
 
 def test_sweep_point_rows():

@@ -524,6 +524,14 @@ def test_state_infidelity_pure_cases():
     assert state_infidelity(basis0, mix) == pytest.approx(1 - 0.36)
 
 
+def test_state_infidelity_resolves_infidelities_below_rounding():
+    # 1 - |<a|b>|^2 rounds to 0 here; the difference-norm form keeps sin^2(delta)
+    for delta in (1e-9, 3e-12):
+        a = StateVector(np.array([1.0, 0.0], dtype=complex))
+        b = StateVector(np.exp(0.7j) * np.array([math.cos(delta), math.sin(delta)]))
+        assert state_infidelity(a, b) == pytest.approx(math.sin(delta) ** 2, rel=1e-6, abs=0.0)
+
+
 def test_state_infidelity_mixed_case():
     exact = StateVector.zero(2)
     w = 0.37

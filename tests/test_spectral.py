@@ -1,21 +1,25 @@
 """Spectral reference checks: DFT conventions, Laplacian eigenstructure,
 closed-form evolution, dispersion infidelity model, shot-noise statistics.
 
-Oracles: explicit DFT kernel sums, dense eigendecomposition, d'Alembert
-traveling-wave solution, and hand-evaluated binomial statistics.
+Oracles: explicit DFT kernel sums and the dense DFT matrix, dense
+eigendecomposition, d'Alembert traveling-wave solution, and hand-evaluated
+binomial statistics.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import laplacian_matrix
+from qwave.sim import state_infidelity
 from qwave.spectral import (
-    SpectralModel,
     dft,
     dft_matrix,
     exact_evolve,
+    exact_frequencies,
     infidelity_model,
     mc_errors,
     shots_required,
@@ -56,6 +60,16 @@ def test_dft_directions_are_inverses():
         dft(v, "sideways")
 
 
+@pytest.mark.parametrize("N", [2 ** n for n in range(1, 11)])
+def test_fft_matches_the_dense_dft_matrix(N):
+    rng = np.random.default_rng(N)
+    stacked = rng.normal(size=(2, N)) + 1j * rng.normal(size=(2, N))
+    f = dft_matrix(N)
+    for direction, matrix in (("forward", f), ("inverse", f.conj().T)):
+        assert np.allclose(dft(stacked[0], direction), matrix @ stacked[0], atol=1e-12)
+        assert np.allclose(dft(stacked, direction), stacked @ matrix.T, atol=1e-12)
+
+
 # ------------------------------------------------------------------- Laplacian
 
 
@@ -84,21 +98,21 @@ def test_dft_diagonalizes_laplacian(N):
     k = wavenumbers(N)
     expected = -4.0 * N * N * np.sin(np.pi * k / N) ** 2
     assert np.allclose(np.diag(diag).real, expected, atol=1e-7)
-    assert np.allclose(np.diag(diag).real, SpectralModel(N).eigenvalues, atol=1e-7)
+    assert np.allclose(np.diag(diag).real, -exact_frequencies(N) ** 2, atol=1e-7)
 
 
-def test_spectral_model_frequency_relations():
-    model = SpectralModel(16)
+def test_exact_frequencies_and_dispersion_gap():
     k = wavenumbers(16)
-    assert np.allclose(model.exact_frequencies, 32.0 * np.sin(np.pi * k / 16))
-    assert np.allclose(model.smallangle_frequencies, 2.0 * np.pi * k)
-    assert np.allclose(model.dispersion_gap, model.exact_frequencies - 2 * np.pi * k)
-    assert np.allclose(model.eigenvalues, -model.exact_frequencies ** 2)
-    # the gap is odd in k and grows like |k|^3
-    assert model.dispersion_gap[0] == 0.0
-    assert model.dispersion_gap[1] == pytest.approx(-model.dispersion_gap[-1])
-    with pytest.raises(ValueError):
-        SpectralModel(12)
+    omega = exact_frequencies(16)
+    assert np.allclose(omega, 32.0 * np.sin(np.pi * k / 16))
+    # the gap omega_k - 2 pi k is odd in k and grows like |k|^3
+    gap = omega - 2.0 * np.pi * k
+    assert gap[0] == 0.0
+    assert gap[1] == pytest.approx(-gap[-1])
+    assert abs(gap[4]) / abs(gap[2]) == pytest.approx(8.0, rel=0.1)
+    for N in (1, 12):
+        with pytest.raises(ValueError):
+            exact_frequencies(N)
 
 
 # -------------------------------------------------------------------- evolution
@@ -178,14 +192,35 @@ def test_evolution_input_validation():
 # ------------------------------------------------------------ infidelity model
 
 
-def test_single_mode_has_no_dispersion_infidelity():
-    N = 8
+def test_single_static_mode_infidelity_is_sin_squared_of_its_gap():
+    # the exact and small-angle runs rotate the mode by t omega_k and 2 pi k t: overlap cos(t alpha)
+    N, t = 8, 0.7
     c = np.zeros(N, dtype=complex)
     c[3] = 1.0
-    exact, second, bound = infidelity_model(c, 0.7, N)
-    assert exact == pytest.approx(0.0, abs=1e-12)
-    assert second == pytest.approx(0.0, abs=1e-12)
-    assert bound == pytest.approx(0.0, abs=1e-12)
+    psi0 = dft(c, "forward")
+    measured = state_infidelity(exact_evolve(psi0, np.zeros(N), t), smallangle_evolve(psi0, t))
+    alpha = 2.0 * N * math.sin(3.0 * math.pi / N) - 6.0 * math.pi
+    assert measured == pytest.approx(math.sin(t * alpha) ** 2, abs=1e-14)
+    assert measured == pytest.approx(0.08417, abs=1e-5)
+    exact, second, bound = infidelity_model(c, t, N)
+    assert exact == pytest.approx(measured, abs=1e-14)
+    assert second == pytest.approx((t * alpha) ** 2, abs=1e-14)
+    assert bound == pytest.approx(t ** 2 * math.pi ** 6 * 3 ** 6 / (9.0 * N ** 4), abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.floats(0.05, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_closed_form_matches_evolved_states_for_any_spectrum(n, t, seed):
+    # asymmetric weights, the unpaired Nyquist mode k = -N/2 included
+    N = 2 ** n
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=N) + 1j * rng.normal(size=N)
+    c /= np.linalg.norm(c)
+    psi0 = dft(c, "forward")
+    measured = state_infidelity(exact_evolve(psi0, np.zeros(N), t), smallangle_evolve(psi0, t))
+    exact, second, bound = infidelity_model(c, t, N)
+    assert exact == pytest.approx(measured, abs=1e-12)
+    assert 0.0 <= exact <= second <= bound
 
 
 def test_symmetric_spectrum_infidelity_closed_form():
