@@ -66,11 +66,11 @@ def exact_reference(n: int, t: float) -> StateVector:
 def check_memory(n: int, noisy: bool) -> None:
     """Refuse a run on n spatial qubits whose working arrays would not fit in physical memory.
 
-    Peak RSS above the import baseline measured 4.1-4.6 density matrices (n = 8..10) and
-    8.6-11.3 statevectors (n = 16..21), hence 5 and 11 working copies of the state.
+    Peak RSS above the import baseline measured 3.1-3.6 density matrices (n = 8..10) and
+    8.6-11.3 statevectors (n = 16..21), hence 4 and 11 working copies of the state.
     """
     dim = 2 ** (n + 1)
-    need = 16 * (5 * dim * dim if noisy else 11 * dim)
+    need = 16 * (4 * dim * dim if noisy else 11 * dim)
     if need > PHYSICAL_MEMORY:
         kind = "noisy" if noisy else "noiseless"
         raise ValueError(f"a {kind} run at n={n} needs about {need / 2 ** 30:.3g} GiB of working arrays, "

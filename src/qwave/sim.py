@@ -16,11 +16,19 @@ Noisy runs follow every two-qubit gate with a two-qubit depolarizing channel
 
 over the 15 non-identity two-qubit Paulis; single-qubit gates are noiseless.
 
-One gate kernel, `_apply_gate_array`, serves every path: a diagonal gate (RZ,
-RZZ, CPHASE, DIAG) multiplies the amplitudes by its phases, a dense one (H,
-PHASEDX, a state-prep block) is one matmul over its consecutive target axes.
-An m-qubit density matrix is a 2m-qubit tensor: U acts on the row axes and
-conj(U) on the column axes, or one multiply by d (x) d* for a diagonal gate.
+One gate kernel, `_apply_gate_array`, serves the statevector, the unitary and
+state prep: a diagonal gate (RZ, RZZ, CPHASE, DIAG) multiplies the amplitudes
+by its phases, a dense one (H, PHASEDX, a state-prep block) is one matmul over
+its consecutive target axes.  On a density matrix a dense gate is that kernel
+on the row axes with U and on the column axes with conj(U).  A diagonal gate
+is one in-place pass instead: the rows whose target bits agree share one
+phase, so each such row class is multiplied by one contiguous column-phase
+vector.  Every two-qubit gate is diagonal, and D on (a, b) leaves Tr_ab rho
+unchanged, so its channel folds into the same pass:
+
+    E(D rho D^dag) = (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab,  w = 16p/15,
+
+with the partial trace read from rho before the multiply.
 """
 
 from __future__ import annotations
@@ -379,51 +387,62 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(_run_circuit(state.amplitudes, circuit), check=False)
 
 
-def _dm_apply_gate(entries: np.ndarray, gate: Gate, m: int) -> np.ndarray:
-    """U rho U^dag: the gate kernel on the row axes with U and on the column axes with conj(U)."""
-    flat = entries.reshape(-1)
-    columns = tuple(t + m for t in gate.targets)
-    phases = gate.phases()
-    if phases is not None:  # both sides in one multiply by d (x) d*
-        flat = _apply_gate_array(flat, np.outer(phases, phases.conj()).ravel(), gate.targets + columns, 2 * m)
-    else:
-        u = gate.matrix()
-        flat = _apply_gate_array(flat, u, gate.targets, 2 * m)
-        flat = _apply_gate_array(flat, u.conj(), columns, 2 * m)
-    return flat.reshape(entries.shape)
+def _dm_diagonal_pass(entries: np.ndarray, phases: np.ndarray, targets: Sequence[int], m: int, w: float) -> None:
+    """In place: rho <- (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab; w > 0 only for a pair (a, b).
+
+    Each row class (the rows whose target bits agree) is multiplied by one
+    2^m-long column-phase vector.  The share (w/4) Tr_ab rho is read before the
+    multiply and added onto the four pair-diagonal blocks after it.
+    """
+    wires = sorted(targets)
+    bounds = [-1] + wires  # rows as (.., 2, .., 2, .., tail): the axes between targets grouped
+    dims = [d for lo, hi in zip(bounds, bounds[1:]) for d in (2 ** (hi - lo - 1), 2)] + [2 ** (m - 1 - wires[-1])]
+    row_phases = phases.reshape([2] * len(targets)).transpose(np.argsort(targets))  # indexed in wire order
+    column_phases = _apply_gate_array(np.ones(2 ** m, dtype=complex), phases.conj(), targets, m)
+    every = slice(None)
+    if w:
+        pair = entries.reshape(dims + dims, copy=False)
+        blocks = [(every, i, every, j, every) * 2 for i in (0, 1) for j in (0, 1)]
+        share = (w / 4.0) * sum(pair[block] for block in blocks)
+    rows = entries.reshape(dims + [2 ** m], copy=False)
+    for bits in np.ndindex(row_phases.shape):
+        rows[tuple(x for bit in bits for x in (every, bit))] *= ((1.0 - w) * row_phases[bits]) * column_phases
+    if w:
+        for block in blocks:
+            pair[block] += share
 
 
 def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float, m: int) -> np.ndarray:
     """Two-qubit depolarizing channel on wires (a, b); returns a new array.
 
     Uses the twirl identity sum_{all 16 P} P rho P^dag = 16 (Tr_ab rho) (x) I/4,
-    so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4: one scaled
-    copy of rho, plus a quarter of the partial trace on each of the four
-    pair-diagonal blocks.
+    so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4: the pass of a
+    noisy two-qubit gate, with the identity gate, on a copy.
     """
-    a, b = sorted((a, b))  # the channel is symmetric in its two wires
-    gap, tail = 2 ** (b - a - 1), 2 ** (m - b - 1)
-    rho = entries.reshape(2 ** a, 2, gap, 2, tail * 2 ** a, 2, gap, 2, tail)
-    every = slice(None)
-    blocks = [(every, i, every, j, every, i, every, j) for i in (0, 1) for j in (0, 1)]
-    w = 16.0 * p / 15.0
-    share = (w / 4.0) * sum(rho[block] for block in blocks)
-    out = (1.0 - w) * rho
-    for block in blocks:
-        out[block] += share
-    return out.reshape(entries.shape)
+    out = np.array(entries, dtype=complex)
+    _dm_diagonal_pass(out, np.ones(4, dtype=complex), (a, b), m, 16.0 * p / 15.0)
+    return out
 
 
 def apply_circuit_noisy(rho: DensityMatrix, circuit: Circuit, noise: NoiseModel) -> DensityMatrix:
-    """Run `circuit` on a density matrix, depolarizing after every two-qubit gate."""
+    """Run `circuit` on a density matrix, depolarizing after every two-qubit gate.
+
+    Works on one copy of rho: a diagonal gate, with its channel if it has two
+    targets, is one in-place pass; a dense gate makes a new array.
+    """
     if rho.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit act on different register sizes")
     m = circuit.num_qubits
-    entries = rho.entries
+    w = 16.0 * noise.p / 15.0
+    entries = rho.entries.copy()
     for gate in circuit.gates:
-        entries = _dm_apply_gate(entries, gate, m)
-        if gate.num_targets == 2 and noise.p > 0.0:
-            entries = depolarize_pair(entries, gate.targets[0], gate.targets[1], noise.p, m)
+        phases = gate.phases()
+        if phases is None:  # U on the row axes, then conj(U) on the column axes; each step frees its input
+            u, shape, columns = gate.matrix(), entries.shape, tuple(t + m for t in gate.targets)
+            entries = _apply_gate_array(entries.reshape(-1), u, gate.targets, 2 * m)
+            entries = _apply_gate_array(entries, u.conj(), columns, 2 * m).reshape(shape)
+        else:
+            _dm_diagonal_pass(entries, phases, gate.targets, m, w if gate.num_targets == 2 else 0.0)
     if circuit.final_permutation is not None:
         src = _permutation_source(m, tuple(circuit.final_permutation))
         entries = entries[np.ix_(src, src)]

@@ -475,6 +475,26 @@ def test_single_qubit_only_circuit_stays_pure_under_noise():
     assert purity(rho) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(6) for b in range(6) if a != b])
+def test_noisy_pair_gates_on_six_qubits_match_pauli_sum(a, b):
+    # beyond the property tests' four qubits: every ordered pair, adjacent or not, a > b too
+    m = 6
+    rng = np.random.default_rng(13 * a + b)
+    rho = _random_density(m, rng)
+    before = rho.entries.copy()
+    gates = [cphase(0.7, a, b), rzz(-0.4, a, b), diagonal_injector(np.exp(1j * rng.uniform(-3, 3, 4)), (a, b))]
+    ps = np.array([0.0, 1e-3, 15.0 / 16.0, 1.0])
+    ops = [_embed(gate.matrix(), gate.targets, m) for gate in gates]
+    # one oracle call for all gates and p: the channel sum broadcasts over a (p, gate) stack
+    want = _brute_force_depolarize(np.stack([op @ before @ op.conj().T for op in ops]), a, b,
+                                   ps[:, None, None, None], m)
+    for i, p in enumerate(ps):
+        for j, gate in enumerate(gates):
+            got = apply_circuit_noisy(rho, Circuit(m, [gate]), NoiseModel(p)).entries
+            assert np.max(np.abs(got - want[i, j])) < 1e-13
+    assert np.array_equal(rho.entries, before)
+
+
 # ----------------------------------------------------------------- measurement
 
 
