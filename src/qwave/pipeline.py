@@ -66,11 +66,11 @@ def exact_reference(n: int, t: float) -> StateVector:
 def check_memory(n: int, noisy: bool) -> None:
     """Refuse a run on n spatial qubits whose working arrays would not fit in physical memory.
 
-    Peak RSS above the import baseline measured 3.1-3.6 density matrices (n = 8..10) and
-    8.6-11.3 statevectors (n = 16..21), hence 4 and 11 working copies of the state.
+    Peak RSS above the import baseline measured 2.1-2.2 density matrices (n = 8..10) and
+    8.6-11.3 statevectors (n = 16..21), hence 3 and 11 working copies of the state.
     """
     dim = 2 ** (n + 1)
-    need = 16 * (4 * dim * dim if noisy else 11 * dim)
+    need = 16 * (3 * dim * dim if noisy else 11 * dim)
     if need > PHYSICAL_MEMORY:
         kind = "noisy" if noisy else "noiseless"
         raise ValueError(f"a {kind} run at n={n} needs about {need / 2 ** 30:.3g} GiB of working arrays, "
@@ -89,9 +89,13 @@ def simulate_noisy(circuit: Circuit, p: float, initial: StateVector | None = Non
     noising the lowered one: every controlled phase lowers to single-qubit RZs
     plus one RZZ on the same pair, so per-gate noise events land on the same
     wires after the same unitaries.
+
+    The pure start goes in as it is, so each wire it holds in a basis state
+    stays a 2-vector outside rho until a two-qubit gate reaches it: wire 0 of
+    the injected Ricker state, and every wire of |0...0> before a trained prep.
     """
     state = StateVector.zero(circuit.num_qubits) if initial is None else initial
-    return apply_circuit_noisy(DensityMatrix.from_statevector(state), circuit, NoiseModel(p))
+    return apply_circuit_noisy(state, circuit, NoiseModel(p))
 
 
 def wavefield_probabilities(state: StateVector | DensityMatrix, n: int) -> np.ndarray:

@@ -126,9 +126,9 @@ def test_noiseless_circuit_at_a_generic_time_matches_model_and_fourth_order_law(
 
 def test_memory_guard_refuses_runs_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", int(7.8 * 2 ** 30))
-    pipeline.check_memory(12, noisy=True)  # 4 density matrices of 2^13 x 2^13: 4 GiB
+    pipeline.check_memory(12, noisy=True)  # 3 density matrices of 2^13 x 2^13: 3 GiB
     pipeline.check_memory(24, noisy=False)  # 11 statevectors of 2^25 amplitudes: 5.5 GiB
-    with pytest.raises(ValueError, match="a noisy run at n=13 needs about 16 GiB"):
+    with pytest.raises(ValueError, match="a noisy run at n=13 needs about 12 GiB"):
         pipeline.check_memory(13, noisy=True)
     with pytest.raises(ValueError, match="a noiseless run at n=25 needs about 11 GiB"):
         pipeline.check_memory(25, noisy=False)

@@ -495,6 +495,109 @@ def test_noisy_pair_gates_on_six_qubits_match_pauli_sum(a, b):
     assert np.array_equal(rho.entries, before)
 
 
+# ------------------------------------------------- pure starts with basis-state wires
+
+
+def _state_with_basis_wires(bits, rng) -> StateVector:
+    """A random pure state whose wire q is exactly |bits[q]> wherever bits[q] is not None."""
+    m = len(bits)
+    amps = (rng.normal(size=2 ** m) + 1j * rng.normal(size=2 ** m)).reshape([2] * m)
+    for q, bit in enumerate(bits):
+        if bit is not None:
+            amps[(slice(None),) * q + (1 - bit,)] = 0.0
+    amps = amps.reshape(-1)
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+def _relabeling(perm, m: int) -> np.ndarray:
+    """Permutation matrix that moves the bit of wire q to wire perm[q]."""
+    dim = 2 ** m
+    out = np.zeros((dim, dim))
+    for src in range(dim):
+        dst = 0
+        for q in range(m):
+            dst |= ((src >> (m - 1 - q)) & 1) << (m - 1 - perm[q])
+        out[dst, src] = 1.0
+    return out
+
+
+def _noisy_oracle(state: StateVector, circuit: Circuit, p: float) -> np.ndarray:
+    """|psi><psi| conjugated by each embedded gate, the Pauli sum after each pair gate, then the relabeling."""
+    m = circuit.num_qubits
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    for gate in circuit.gates:
+        op = _embed(gate.matrix(), gate.targets, m)
+        rho = op @ rho @ op.conj().T
+        if gate.num_targets == 2:
+            rho = _brute_force_depolarize(rho, gate.targets[0], gate.targets[1], p, m)
+    if circuit.final_permutation is not None:
+        perm = _relabeling(circuit.final_permutation, m)
+        rho = perm @ rho @ perm.T
+    return rho
+
+
+def _check_pure_start(state: StateVector, circuit: Circuit, p: float) -> None:
+    before = state.amplitudes.copy()
+    got = apply_circuit_noisy(state, circuit, NoiseModel(p))
+    assert isinstance(got, DensityMatrix) and got.num_qubits == circuit.num_qubits
+    assert np.max(np.abs(got.entries - _noisy_oracle(state, circuit, p))) < 1e-12
+    assert np.array_equal(state.amplitudes, before)
+
+
+@st.composite
+def _basis_wire_starts(draw):
+    """A `_gate_lists` case and, per wire, the basis bit its start holds it in (None: not held)."""
+    m, gates = draw(_gate_lists())
+    return m, gates, draw(st.lists(st.sampled_from([None, 0, 1]), min_size=m, max_size=m))
+
+
+@_PROPERTY
+@given(_basis_wire_starts(), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0))
+def test_pure_start_with_basis_wires_matches_conjugation_and_pauli_sum(case, seed, p):
+    m, gates, bits = case
+    _check_pure_start(_state_with_basis_wires(bits, np.random.default_rng(seed)), Circuit(m, gates), p)
+
+
+def _relabeled(circuit: Circuit, perm) -> Circuit:
+    circuit._set_permutation(list(perm))
+    return circuit
+
+
+_HELD_WIRE_CASES = {
+    # every wire held; each is inserted by the first pair gate that reaches it, wire 3 at the end
+    "all_wires_held": (
+        StateVector.zero(4),
+        Circuit(4, [hadamard(2), phased_x(0.7, 0.3, 0), rzz(0.5, 2, 0), hadamard(1), rz(0.4, 3),
+                    cphase(1.1, 1, 2), phased_x(-0.2, 1.0, 2)]),
+    ),
+    # wire 2 (held in |1>) meets no gate and is inserted in the middle of rho at the end
+    "untouched_wire": (
+        _state_with_basis_wires([None, None, 1, None], np.random.default_rng(21)),
+        Circuit(4, [hadamard(0), cphase(0.9, 3, 0), phased_x(0.4, -0.6, 1), rzz(-0.3, 1, 3)]),
+    ),
+    # one unsorted three-wire DIAG inserts held wires 0, 2 and 3 at once; wire 1 is live
+    "diag_on_several_held_wires": (
+        _state_with_basis_wires([0, None, 1, 0], np.random.default_rng(22)),
+        Circuit(4, [hadamard(0), phased_x(0.8, 0.2, 3),
+                    diagonal_injector(np.exp(1j * np.linspace(-2.5, 2.9, 8)), (3, 0, 2)),
+                    rzz(0.6, 1, 2), hadamard(2)]),
+    ),
+    # a trailing relabeling after a run that leaves wire 4 held to the end
+    "final_permutation": (
+        _state_with_basis_wires([None, 0, None, 1, 1], np.random.default_rng(23)),
+        _relabeled(Circuit(5, [hadamard(1), cphase(0.5, 1, 2), rzz(0.7, 3, 0), phased_x(0.3, 0.9, 4)]),
+                   [4, 0, 3, 1, 2]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HELD_WIRE_CASES))
+@pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+def test_held_wires_match_conjugation_and_pauli_sum(name, p):
+    state, circuit = _HELD_WIRE_CASES[name]
+    _check_pure_start(state, circuit, p)
+
+
 # ----------------------------------------------------------------- measurement
 
 
