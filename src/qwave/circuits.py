@@ -44,7 +44,7 @@ class EvolutionSpec:
             raise ValueError("evolution circuits need n >= 2 spatial qubits")
         if self.t < 0:
             raise ValueError("evolution time must be non-negative")
-        mode = {"small-angle": "approx", "small_angle": "approx"}.get(self.mode, self.mode)
+        mode = "approx" if self.mode == "small-angle" else self.mode
         if mode not in ("exact", "approx"):
             raise ValueError(f"mode must be 'exact' or 'approx', got {self.mode!r}")
         object.__setattr__(self, "mode", mode)

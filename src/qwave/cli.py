@@ -23,7 +23,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -136,6 +135,8 @@ class RunConfig:
             raise ValueError("need at least one worker")
         if self.shots < 0:
             raise ValueError("shots must be non-negative")
+        if any(not 0.0 <= p <= 1.0 for p in self.p):
+            raise ValueError(f"depolarizing levels must lie in [0, 1], got {', '.join(f'{p:g}' for p in self.p)}")
         if self.restarts < 1:
             raise ValueError("need at least one restart")
 
@@ -191,6 +192,8 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
 def _map(fn, calls: list[tuple], workers: int) -> list:
     """[fn(*args) for args in calls], spread over `workers` processes when there are more than one."""
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: its imports slow and grow every run
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(fn, *args) for args in calls]
             return [f.result() for f in futures]

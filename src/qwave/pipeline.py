@@ -170,21 +170,17 @@ def loglog_slope(xs, ys) -> float:
     return float(slope)
 
 
-def gate_count_row(n: int, t: float, prep: Circuit | None = None) -> dict[str, int | float]:
+def gate_count_row(n: int, t: float, prep: Circuit) -> dict[str, int | float]:
     """Lowered gate tallies for one register size: evolution-only and with prep."""
     evolution = count(lower(evolution_circuit(n, t, mode="approx")))
-    row: dict[str, int | float] = {
+    full = count(lower(evolution_circuit(n, t, mode="approx", prep=prep)))
+    return {
         "n": n,
         "t": t,
         "two_qubit_evolution": evolution.two_qubit,
         "total_evolution": evolution.total,
         "depth_evolution": evolution.depth,
+        "two_qubit_with_prep": full.two_qubit,
+        "total_with_prep": full.total,
+        "depth_with_prep": full.depth,
     }
-    if prep is not None:
-        full = count(lower(evolution_circuit(n, t, mode="approx", prep=prep)))
-        row.update(
-            two_qubit_with_prep=full.two_qubit,
-            total_with_prep=full.total,
-            depth_with_prep=full.depth,
-        )
-    return row

@@ -351,11 +351,6 @@ class DensityMatrix:
         self.num_qubits = n
         self.entries = entries
 
-    @classmethod
-    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
-        a = state.amplitudes
-        return cls(np.outer(a, a.conj()), check=False)
-
     def probabilities(self) -> np.ndarray:
         return np.clip(np.diag(self.entries).real, 0.0, None)
 
@@ -369,12 +364,6 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"depolarizing probability must lie in [0, 1], got {self.p}")
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    return StateVector(
-        _apply_gate_array(state.amplitudes, gate.operator(), gate.targets, state.num_qubits), check=False
-    )
 
 
 def _run_circuit(amps: np.ndarray, circuit: Circuit) -> np.ndarray:

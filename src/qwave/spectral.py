@@ -2,12 +2,13 @@
 
 Everything here is circuit-free linear algebra on the N-point grid
 x_j = j/N of the unit interval: the exact frequencies of the
-central-difference Laplacian's plane-wave modes, FFT evolution with exact and
-small-angle frequencies, and the closed-form infidelity model that the
-circuit pipeline is checked against.
+central-difference Laplacian's plane-wave modes, FFT evolution with the
+exact frequencies, and the closed-form infidelity model that the circuit
+pipeline is checked against.
 
 `dft` is numpy's FFT, which shares no code with the QFT circuits it checks;
-`dft_matrix`, the same transform as a dense O(N^2) matrix, is a test oracle.
+`dft_matrix`, the same transform as a dense O(N^2) matrix, is a test oracle
+that no run calls, kept here because the benchmark tracer reads its cache.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def exact_frequencies(N: int) -> np.ndarray:
 
 def _evolve(psi0: np.ndarray, phi0: np.ndarray, t: float, frequencies: np.ndarray) -> StateVector:
     """(H (x) DFT) diag(e^{-i t w_k z}) (H (x) DFT^dag) applied to (psi0, phi0): per mode k,
-    c_psi -> c_psi cos(t w_k) - i c_phi sin(t w_k), and the same with psi and phi swapped."""
+    c_psi -> c_psi cos(t w_k) - i c_phi sin(t w_k), and the same with psi and phi swapped.
+    The tests' small-angle oracle passes w_k = 2 pi k."""
     psi0 = np.asarray(psi0, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
     if psi0.shape != phi0.shape:
@@ -69,12 +71,6 @@ def _evolve(psi0: np.ndarray, phi0: np.ndarray, t: float, frequencies: np.ndarra
 def exact_evolve(psi0: np.ndarray, phi0: np.ndarray, t: float) -> StateVector:
     """Evolution with the exact discrete frequencies omega_k = 2N sin(pi k / N)."""
     return _evolve(psi0, phi0, t, exact_frequencies(np.asarray(psi0).size))
-
-
-def smallangle_evolve(psi0: np.ndarray, t: float) -> StateVector:
-    """Evolution of a static wavefield with the linearized frequencies 2 pi k."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    return _evolve(psi0, np.zeros_like(psi0), t, 2.0 * np.pi * wavenumbers(psi0.size))
 
 
 def infidelity_model(c0k: np.ndarray, t: float, N: int) -> tuple[float, float, float]:
@@ -121,12 +117,3 @@ def mc_errors(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eps_rel = np.full(p_hat.shape, np.nan)
     np.divide(eps_mc, p_hat, out=eps_rel, where=p_hat > 0)
     return p_hat, eps_mc, eps_rel
-
-
-def shots_required(p: float, eps_rel: float) -> int:
-    """Shots needed so the relative Monte-Carlo error of estimating p is eps_rel."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    if eps_rel <= 0.0:
-        raise ValueError("eps_rel must be positive")
-    return math.ceil((1.0 - p) / (p * eps_rel ** 2))

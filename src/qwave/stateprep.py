@@ -44,10 +44,6 @@ class GridSpec:
     def num_points(self) -> int:
         return 2 ** self.n
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.num_points
-
     def positions(self) -> np.ndarray:
         return np.arange(self.num_points) / self.num_points
 
@@ -188,14 +184,6 @@ def _blocks(per_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         axis=1,
     )
     return post_w[:, 0] @ pre, partials
-
-
-def block_unitary(params: np.ndarray) -> np.ndarray:
-    """Dense 4x4 of one block: (E9..11 x E12..14) . W(6,7,8) . (E0..2 x E3..5)."""
-    p = np.asarray(params, dtype=float)
-    if p.shape != (BLOCK_PARAMS,):
-        raise ValueError(f"block takes {BLOCK_PARAMS} angles, got shape {p.shape}")
-    return _blocks(p[None])[0][0]
 
 
 def ansatz_to_circuit(ansatz: BrickwallAnsatz, theta: np.ndarray) -> Circuit:

@@ -1,13 +1,19 @@
 """Reference constructions that only the tests compare the library against.
 
-Each is built directly from its definition, independently of the code under
-test: the central-difference Laplacian as an explicit matrix, the small-angle
-phase diagonal as a signed-wavenumber table, and the purity Tr(rho^2).
+Most are built directly from their definition, independently of the code
+under test: the central-difference Laplacian as an explicit matrix, the
+small-angle phase diagonal as a signed-wavenumber table, the purity
+Tr(rho^2), the projector of a pure state, and the shot count of a relative
+error.  `smallangle_evolve` is the spectral route with the linearized
+frequencies 2 pi k, the FFT evolution of `exact_evolve` with other phases.
 """
+
+import math
 
 import numpy as np
 
-from qwave.spectral import wavenumbers
+from qwave.sim import DensityMatrix, StateVector
+from qwave.spectral import _evolve, wavenumbers
 
 
 def laplacian_matrix(N: int) -> np.ndarray:
@@ -34,3 +40,24 @@ def smallangle_diagonal_values(n: int, t: float) -> np.ndarray:
 def purity(rho) -> float:
     """Tr(rho^2) of a DensityMatrix: 1 for a pure state, below 1 for a mixed one."""
     return float(np.trace(rho.entries @ rho.entries).real)
+
+
+def pure_density(state: StateVector) -> DensityMatrix:
+    """|psi><psi| of a pure state."""
+    a = state.amplitudes
+    return DensityMatrix(np.outer(a, a.conj()), check=False)
+
+
+def smallangle_evolve(psi0: np.ndarray, t: float) -> StateVector:
+    """Evolution of a static wavefield with the linearized frequencies 2 pi k."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    return _evolve(psi0, np.zeros_like(psi0), t, 2.0 * np.pi * wavenumbers(psi0.size))
+
+
+def shots_required(p: float, eps_rel: float) -> int:
+    """Shots needed so the relative Monte-Carlo error of estimating p is eps_rel."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly between 0 and 1")
+    if eps_rel <= 0.0:
+        raise ValueError("eps_rel must be positive")
+    return math.ceil((1.0 - p) / (p * eps_rel ** 2))

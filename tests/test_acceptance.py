@@ -9,12 +9,12 @@ import math
 
 import numpy as np
 
-from oracles import laplacian_matrix, smallangle_diagonal_values
+from oracles import laplacian_matrix, shots_required, smallangle_diagonal_values
 from qwave import pipeline
 from qwave.circuits import EvolutionSpec, assemble_evolution, build_approx_diagonal, build_qft
 from qwave.compile import quadratic_fit
 from qwave.sim import sample_bitstrings
-from qwave.spectral import dft_matrix, mc_errors, shots_required, wavenumbers
+from qwave.spectral import dft_matrix, mc_errors, wavenumbers
 from qwave.stateprep import GridSpec, OptimizerConfig, build_ansatz, optimize, ricker_target
 
 

@@ -64,6 +64,10 @@ def test_run_config_validation():
         RunConfig(shots=-1)
     with pytest.raises(ValueError):
         RunConfig(restarts=0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RunConfig(p=(-0.5,))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        RunConfig(p=(1e-3, 1.5))
 
 
 def test_config_file_round_trip(tmp_path):
@@ -299,6 +303,16 @@ def test_evolve_rejects_a_list_of_noise_levels(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("args", [["evolve", "--n", "3", "--p=-0.5"], ["evolve", "--n", "3", "--p", "1.5"],
+                                  ["sweep", "--axis", "p", "--n-range", "2:3", "--p=-1e-3,1e-3"]])
+def test_noise_levels_outside_the_unit_interval_are_refused(tmp_path, capsys, args):
+    # a negative p used to run noiselessly under its own label
+    out = tmp_path / "run"
+    assert cli.main([*args, "--out", str(out)]) == 1
+    assert "depolarizing levels must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------- sweep
 
 
@@ -485,9 +499,10 @@ def test_gatecount_fits_before_it_writes(tmp_path, capsys):
 
 
 def test_importing_the_cli_does_not_load_scipy_optimize():
-    # scipy.optimize is most of the import time; only training needs it
+    # scipy.optimize is most of the import time; only training needs it.  Likewise the
+    # process pool, which only --workers > 1 needs
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    code = "import qwave.cli, sys; assert 'scipy.optimize' not in sys.modules"
+    code = "import qwave.cli, sys; assert not {'scipy.optimize', 'concurrent.futures'} & set(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 

@@ -8,14 +8,15 @@ vs FFT algebra), so their agreement is the strongest oracle here.
 import numpy as np
 import pytest
 
-from oracles import purity
+from oracles import pure_density, purity, smallangle_evolve
 from qwave import pipeline
 from qwave.sim import DensityMatrix, StateVector, state_infidelity
-from qwave.spectral import exact_evolve, smallangle_evolve
+from qwave.spectral import dft, exact_evolve, infidelity_model
 from qwave.stateprep import (
     Checkpoint,
     GridSpec,
     OptimizerConfig,
+    RickerParams,
     build_ansatz,
     optimize,
     ricker_target,
@@ -124,6 +125,28 @@ def test_noiseless_circuit_at_a_generic_time_matches_model_and_fourth_order_law(
     assert pipeline.loglog_slope([2 ** n for n in ns], measured) == pytest.approx(-4.0, abs=0.3)
 
 
+def test_smoothly_periodic_input_converges_as_n_to_the_minus_four():
+    # the default wavelet's periodized slope jump at x = 0 = 1 floors the N^-4 law from n ~ 12;
+    # at width 0.05 the wavelet is smooth there to rounding, and the law holds out to n = 20
+    t, params = 0.37, RickerParams(width=0.05)
+
+    def model(n):
+        N = 2 ** n
+        exact, _, bound = infidelity_model(dft(ricker_target(GridSpec(n), params).amplitudes[:N], "inverse"), t, N)
+        return exact, bound
+
+    ns = range(13, 21)
+    eps, bounds = zip(*(model(n) for n in ns))
+    assert pipeline.loglog_slope([2 ** n for n in ns], eps) == pytest.approx(-4.0, abs=0.05)
+    assert all(b >= e for e, b in zip(eps, bounds))
+    for n in range(10, 17):
+        state = ricker_target(GridSpec(n), params)
+        psi0 = state.amplitudes[: 2 ** n]
+        evolved = pipeline.simulate_noiseless(pipeline.evolution_circuit(n, t), state)
+        measured = state_infidelity(exact_evolve(psi0, np.zeros_like(psi0), t), evolved)
+        assert measured == pytest.approx(model(n)[0], rel=1e-3)
+
+
 def test_memory_guard_refuses_runs_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", int(7.8 * 2 ** 30))
     pipeline.check_memory(12, noisy=True)  # 3 density matrices of 2^13 x 2^13: 3 GiB
@@ -161,7 +184,7 @@ def test_wavefield_probabilities_extracts_first_sector():
     probs = pipeline.wavefield_probabilities(state, n)
     assert probs.shape == (8,)
     assert np.allclose(probs, np.abs(state.amplitudes[:8]) ** 2)
-    rho = DensityMatrix.from_statevector(state)
+    rho = pure_density(state)
     assert np.allclose(pipeline.wavefield_probabilities(rho, n), probs)
 
 
@@ -177,5 +200,3 @@ def test_gate_count_table():
         assert r["total_evolution"] >= r["two_qubit_evolution"]
         assert r["total_with_prep"] > r["total_evolution"]
         assert r["depth_with_prep"] >= r["depth_evolution"]
-    bare = pipeline.gate_count_row(4, 1.0)
-    assert "two_qubit_with_prep" not in bare

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import purity
+from oracles import pure_density, purity
 from qwave.sim import (
     Circuit,
     DensityMatrix,
@@ -20,7 +20,6 @@ from qwave.sim import (
     StateVector,
     apply_circuit,
     apply_circuit_noisy,
-    apply_gate,
     cphase,
     depolarize_pair,
     diagonal_injector,
@@ -134,7 +133,7 @@ def test_apply_gate_matches_dense_embedding(m):
         gates += [diagonal_injector(np.exp(1j * rng.uniform(0, 6, 4)), (m - 1, 0))]
     for gate in gates:
         state = _random_state(m, rng)
-        out = apply_gate(state, gate)
+        out = apply_circuit(state, Circuit(m, [gate]))
         expected = _embed(gate.matrix(), gate.targets, m) @ state.amplitudes
         assert np.allclose(out.amplitudes, expected, atol=1e-13)
 
@@ -142,13 +141,13 @@ def test_apply_gate_matches_dense_embedding(m):
 def test_target_order_is_significant():
     # first listed target supplies the more significant matrix bit
     state = StateVector(np.array([0, 0, 1, 0], dtype=complex))  # |10>
-    out_01 = apply_gate(state, cphase(1.0, 0, 1)).amplitudes
-    out_10 = apply_gate(state, cphase(1.0, 1, 0)).amplitudes
+    out_01 = apply_circuit(state, Circuit(2, [cphase(1.0, 0, 1)])).amplitudes
+    out_10 = apply_circuit(state, Circuit(2, [cphase(1.0, 1, 0)])).amplitudes
     assert np.allclose(out_01, state.amplitudes)  # |10> is not |11>
     assert np.allclose(out_10, state.amplitudes)  # diagonal symmetric here
     plus_11 = StateVector(np.array([0, 0, 0, 1], dtype=complex))
     assert np.allclose(
-        apply_gate(plus_11, cphase(1.0, 0, 1)).amplitudes, np.exp(1j) * plus_11.amplitudes
+        apply_circuit(plus_11, Circuit(2, [cphase(1.0, 0, 1)])).amplitudes, np.exp(1j) * plus_11.amplitudes
     )
 
 
@@ -287,7 +286,7 @@ def test_append_after_permutation_acts_on_relabeled_wires():
     gate = phased_x(0.5, 1.1, 2)
     circ.append(gate)
     state = _random_state(3, rng)
-    step = apply_gate(apply_circuit(state, before), gate)
+    step = apply_circuit(apply_circuit(state, before), Circuit(3, [gate]))
     assert np.allclose(apply_circuit(state, circ).amplitudes, step.amplitudes, atol=1e-13)
 
 
@@ -363,7 +362,7 @@ def test_density_matrix_validation_and_helpers():
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError, match="positive semidefinite"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # Hermitian, unit trace, not positive
-    pure = DensityMatrix.from_statevector(_random_state(2, rng))
+    pure = pure_density(_random_state(2, rng))
     assert purity(pure) == pytest.approx(1.0)
     DensityMatrix(pure.entries)  # a pure state's projector passes every check
     mixed = _random_density(2, rng)
@@ -411,7 +410,7 @@ def test_full_strength_channel_on_pure_pair_state():
     # the channel definition gives (1-p) rho + (p/15) sum_P P rho P, so p = 1
     # maps a pure two-qubit rho to (4 I - rho) / 15, and p = 15/16 to I / 4
     rng = np.random.default_rng(7)
-    rho = DensityMatrix.from_statevector(_random_state(2, rng)).entries
+    rho = pure_density(_random_state(2, rng)).entries
     full = depolarize_pair(rho.copy(), 0, 1, 1.0, 2)
     assert np.max(np.abs(full - (4.0 * np.eye(4) - rho) / 15.0)) < 1e-14
     mixed = depolarize_pair(rho.copy(), 0, 1, 15.0 / 16.0, 2)
@@ -438,7 +437,7 @@ def test_channel_is_trace_preserving_and_completely_positive(p):
 def test_channel_never_increases_purity():
     rng = np.random.default_rng(9)
     for p in (0.01, 0.2, 0.9):
-        rho = DensityMatrix.from_statevector(_random_state(3, rng))
+        rho = pure_density(_random_state(3, rng))
         out = DensityMatrix(depolarize_pair(rho.entries, 0, 2, p, 3), check=False)
         assert purity(out) <= purity(rho) + 1e-12
 
@@ -448,7 +447,7 @@ def test_noisy_run_at_zero_p_matches_pure_evolution():
     circ = Circuit(3, [hadamard(0), rzz(0.8, 0, 1), cphase(1.1, 1, 2), phased_x(0.3, 0.6, 2)])
     circ._set_permutation([1, 2, 0])
     state = _random_state(3, rng)
-    rho = apply_circuit_noisy(DensityMatrix.from_statevector(state), circ, NoiseModel(0.0))
+    rho = apply_circuit_noisy(pure_density(state), circ, NoiseModel(0.0))
     pure = apply_circuit(state, circ)
     assert np.max(np.abs(rho.entries - np.outer(pure.amplitudes, pure.amplitudes.conj()))) < 1e-12
 
@@ -459,7 +458,7 @@ def test_noise_is_attached_to_each_two_qubit_gate():
     gates = [hadamard(1), rzz(0.8, 0, 1), rz(0.2, 2), cphase(1.1, 2, 0), phased_x(0.4, 0.1, 0)]
     circ = Circuit(3, gates)
     state = _random_state(3, rng)
-    got = apply_circuit_noisy(DensityMatrix.from_statevector(state), circ, NoiseModel(p))
+    got = apply_circuit_noisy(pure_density(state), circ, NoiseModel(p))
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     for gate in gates:
         op = _embed(gate.matrix(), gate.targets, 3)
@@ -471,7 +470,7 @@ def test_noise_is_attached_to_each_two_qubit_gate():
 
 def test_single_qubit_only_circuit_stays_pure_under_noise():
     circ = Circuit(2, [hadamard(0), phased_x(0.9, 0.2, 1), rz(0.5, 0)])
-    rho = apply_circuit_noisy(DensityMatrix.from_statevector(StateVector.zero(2)), circ, NoiseModel(0.4))
+    rho = apply_circuit_noisy(pure_density(StateVector.zero(2)), circ, NoiseModel(0.4))
     assert purity(rho) == pytest.approx(1.0)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import laplacian_matrix
+from oracles import laplacian_matrix, shots_required, smallangle_evolve
 from qwave.sim import state_infidelity
 from qwave.spectral import (
     dft,
@@ -22,8 +22,6 @@ from qwave.spectral import (
     exact_frequencies,
     infidelity_model,
     mc_errors,
-    shots_required,
-    smallangle_evolve,
     wavenumbers,
 )
 

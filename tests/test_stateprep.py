@@ -23,11 +23,11 @@ from qwave.stateprep import (
     GridSpec,
     OptimizerConfig,
     RickerParams,
+    _blocks,
     _check_target,
     _forward_states,
     _validated_theta,
     ansatz_to_circuit,
-    block_unitary,
     build_ansatz,
     cost,
     cost_and_gradient,
@@ -80,6 +80,11 @@ def _euler_zyz_partial(a: float, b: float, c: float, which: int) -> np.ndarray:
     return (-1j * _Z) @ _euler_zyz(a, b, c)
 
 
+def block_unitary(params: np.ndarray) -> np.ndarray:
+    """The library's 4x4 of one block with 15 angles, from the batched `_blocks`."""
+    return _blocks(np.asarray(params, dtype=float)[None])[0][0]
+
+
 def block_unitary_partial(params: np.ndarray, index: int) -> np.ndarray:
     """Analytic dU/dtheta_index of the 4x4 block (generator insertion, no differencing)."""
     p = np.asarray(params, dtype=float)
@@ -113,7 +118,7 @@ def cost_directional_derivative(
         raise ValueError("direction must match the parameter vector")
     per_block = theta.reshape(-1, BLOCK_PARAMS)
     v_block = v.reshape(-1, BLOCK_PARAMS)
-    blocks_u = [block_unitary(p) for p in per_block]
+    blocks_u, _ = _blocks(per_block)
     forwards = _forward_states(ansatz, blocks_u)
     total = 0.0
     back = target.amplitudes
@@ -135,7 +140,6 @@ def cost_directional_derivative(
 def test_grid_spec_geometry():
     grid = GridSpec(4)
     assert grid.num_points == 16
-    assert grid.spacing == pytest.approx(1 / 16)
     assert np.allclose(grid.positions(), np.arange(16) / 16)
     with pytest.raises(ValueError):
         GridSpec(0)
