@@ -31,7 +31,6 @@ import numpy as np
 from . import pipeline
 from .compile import quadratic_fit
 from .sim import sample_bitstrings, state_infidelity
-from .spectral import mc_errors
 from .stateprep import Checkpoint, OptimizerConfig, build_ansatz, optimize
 from .svgplot import Series, line_chart
 
@@ -223,7 +222,8 @@ def cmd_train(config: RunConfig) -> int:
         )
     print(
         f"train n={config.n}: infidelity={result.infidelity:.3e} "
-        f"cost={result.cost:.3e} iterations={result.iterations} seed={result.seed} -> {path}"
+        f"cost={result.cost:.3e} grad_norm={result.grad_norm:.3e} iterations={result.iterations} "
+        f"converged={result.converged} ({result.message}) seed={result.seed} -> {path}"
     )
     return 0
 
@@ -265,8 +265,9 @@ def cmd_evolve(config: RunConfig) -> int:
     sim_probs = pipeline.wavefield_probabilities(state, n)
 
     if config.shots > 0:
-        p_hat, eps_mc, _ = mc_errors(sample_bitstrings(state, config.shots, config.seed))
-        reported, eps_mc = p_hat[:N], eps_mc[:N]
+        # the binomial width of the sampled distribution itself; p_hat's own width reads 0 where no shot landed
+        reported = sample_bitstrings(state, config.shots, config.seed)[:N] / config.shots
+        eps_mc = np.sqrt(sim_probs * (1.0 - sim_probs) / config.shots)
     else:
         eps_mc = np.zeros(N)
         reported = sim_probs
@@ -404,9 +405,9 @@ def _sweep_shots_axis(config: RunConfig) -> int:
     probs = pipeline.wavefield_probabilities(state, n)
     rows = []
     for i, shots in enumerate(config.shots_list):
-        p_hat, eps_mc, _ = mc_errors(sample_bitstrings(state, shots, config.seed + i))
-        max_abs = float(np.max(np.abs(p_hat[:N] - probs)))
-        eps_mc_max = float(np.max(eps_mc[:N]))
+        p_hat = sample_bitstrings(state, shots, config.seed + i)[:N] / shots
+        max_abs = float(np.max(np.abs(p_hat - probs)))
+        eps_mc_max = float(np.max(np.sqrt(probs * (1.0 - probs) / shots)))
         rows.append((n, N, f"{t:g}", shots, f"{max_abs:.10g}", f"{eps_mc_max:.10g}"))
     path = out / "sweep_shots.csv"
     _write_csv(path, ["n", "N", "t", "shots", "max_abs_error", "eps_mc_max"], rows)

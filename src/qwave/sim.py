@@ -200,7 +200,12 @@ def _apply_gate_array(amps: np.ndarray, u: np.ndarray, targets: Sequence[int], n
     q = targets[0]
     if tuple(targets) != tuple(range(q, q + k)):
         raise ValueError(f"a dense gate needs consecutive ascending targets, got {tuple(targets)}")
-    lead, dim = 2 ** q, 2 ** k
+    return _apply_dense(amps, u, q)
+
+
+def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """The dense branch of `_apply_gate_array`, unchecked: `u` on the wires q, q+1, ... of amps."""
+    lead, dim = 2 ** q, len(u)
     rest = amps.size // (lead * dim)
     if rest >= 16 or (rest >= 4 and lead <= 64):
         out = np.matmul(u, amps.reshape(lead, dim, rest))

@@ -99,21 +99,3 @@ def infidelity_model(c0k: np.ndarray, t: float, N: int) -> tuple[float, float, f
     bound = (t ** 2 * np.pi ** 6 / (9.0 * N ** 4)) * np.sum(p * k ** 6)
     return float(exact), float(second), float(bound)
 
-
-def mc_errors(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-outcome shot statistics of a counts array: (p_hat, eps_mc, eps_rel).
-
-    eps_mc = sqrt(p_hat (1 - p_hat) / shots); eps_rel = eps_mc / p_hat,
-    reported as NaN where p_hat = 0.
-    """
-    counts = np.asarray(counts)
-    if np.any(counts < 0):
-        raise ValueError("negative count")
-    shots = counts.sum()
-    if shots <= 0:
-        raise ValueError("counts contain no shots")
-    p_hat = counts / shots
-    eps_mc = np.sqrt(p_hat * (1.0 - p_hat) / shots)
-    eps_rel = np.full(p_hat.shape, np.nan)
-    np.divide(eps_mc, p_hat, out=eps_rel, where=p_hat > 0)
-    return p_hat, eps_mc, eps_rel

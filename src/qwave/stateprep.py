@@ -14,6 +14,13 @@ with M_i the block's 4x4 cross matrix from one forward and one backward sweep
 generator.  Each block carries 15 angles: a ZYZ rotation per wire, an
 XX+YY+ZZ entangler, and a second ZYZ pair; zero angles give the identity, and
 the template covers SU(4) up to global phase (Cartan form).
+
+Training is bound by per-call overhead, not arithmetic, so the gradient is
+built in one batched pass: one `_euler` call makes the four one-wire factors
+of every block, the Kronecker products and partial products fill slices of
+preallocated arrays, and one gather and one batched matmul form every cross
+matrix.  Each product keeps the operands of a block-at-a-time build, so the
+gradients are bit-identical to it; the L-BFGS path moves with their last bits.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .sim import Circuit, StateVector, _apply_gate_array, hadamard, phased_x, rz, rzz
+from .sim import Circuit, StateVector, _apply_dense, hadamard, phased_x, rz, rzz
 
 BLOCK_PARAMS = 15
 
@@ -101,6 +109,14 @@ class BrickwallAnsatz:
     def num_params(self) -> int:
         return BLOCK_PARAMS * len(self.blocks)
 
+    @cached_property
+    def _pair_gather(self) -> np.ndarray:
+        """Flat indices (B, 4, 2^m / 4) that read block i's pair axis first from row i of a (B, 2^m) array."""
+        size = 2 ** self.num_qubits
+        index = np.arange(size)
+        per_block = [index.reshape(2 ** q, 4, -1).transpose(1, 0, 2).reshape(4, -1) for q, _ in self.blocks]
+        return np.arange(len(self.blocks))[:, None, None] * size + np.array(per_block)
+
 
 def default_depth(num_qubits: int) -> int:
     return int(math.log2(num_qubits)) + 1
@@ -121,30 +137,33 @@ _MINUS_I_GENERATORS = -1j * np.array(
 )
 
 
-def _ry(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """[[c, -s], [s, c]] over broadcast arrays, stacked on two trailing axes."""
-    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-
-
 def _euler(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rz(c) Ry(b) Rz(a) for angles (..., 3), with full-angle rotations, and its partials.
 
     Covers SU(2) up to phase.  The partials (..., 3, 2, 2) insert each angle's
     generator: E (-iZ), Rz(c) (-iY) Ry(b) Rz(a), and (-iZ) E.
     """
-    a, b, c = np.moveaxis(angles, -1, 0)
-    left = np.exp(-1j * c[..., None] * _Z_DIAG)[..., :, None]
-    right = np.exp(-1j * a[..., None] * _Z_DIAG)[..., None, :]
+    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
+    left = np.exp(-1j * c[..., None] * _Z_DIAG)[..., None, :, None]
+    right = np.exp(-1j * a[..., None] * _Z_DIAG)[..., None, None, :]
     cos_b, sin_b = np.cos(b), np.sin(b)
-    e = left * _ry(cos_b, sin_b) * right
+    ry = np.empty(b.shape + (2, 2, 2))  # Ry(b) = [[cos, -sin], [sin, cos]] and its b-derivative
+    ry[..., 0, 0, 0] = ry[..., 0, 1, 1] = ry[..., 1, 1, 0] = cos_b
+    ry[..., 0, 1, 0] = sin_b
+    ry[..., 0, 0, 1] = ry[..., 1, 0, 0] = ry[..., 1, 1, 1] = -sin_b
+    ry[..., 1, 0, 1] = -cos_b
+    out = np.empty(b.shape + (4, 2, 2), dtype=complex)  # E, then its three partials
+    np.multiply(left * ry, right, out=out[..., 0::2, :, :])  # E and its b-partial
+    e = out[..., 0, :, :]
     minus_i_z = -1j * _Z_DIAG
-    partials = np.stack([e * minus_i_z, left * _ry(-sin_b, cos_b) * right, minus_i_z[:, None] * e], -3)
-    return e, partials
+    np.multiply(e, minus_i_z, out=out[..., 1, :, :])
+    np.multiply(minus_i_z[:, None], e, out=out[..., 3, :, :])
+    return e, out[..., 1:, :, :]
 
 
 def _entangler(angles: np.ndarray) -> np.ndarray:
     """exp(-i (a XX + b YY + c ZZ)) for angles (..., 3), in closed form (XX, YY, ZZ commute)."""
-    a, b, c = np.moveaxis(angles, -1, 0)
+    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
     w = np.zeros(a.shape + (4, 4), dtype=complex)
     outer, inner = np.exp(-1j * c), np.exp(1j * c)
     w[..., 0, 0] = w[..., 3, 3] = outer * np.cos(a - b)
@@ -154,10 +173,12 @@ def _entangler(angles: np.ndarray) -> np.ndarray:
     return w
 
 
-def _kron22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of stacked 2x2 matrices over their broadcast leading axes."""
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*shape, 4, 4)
+def _kron22(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Kronecker products of stacked 2x2 matrices into out (..., 2, 2, 2, 2), read as (..., 4, 4)."""
+    np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], out=out)
+
+
+_EULER_ANGLES = np.r_[0:6, 9:15]  # B1, B2, A1, A2: three angles each
 
 
 def _blocks(per_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,23 +187,23 @@ def _blocks(per_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A block is (A1 x A2) W (B1 x B2) with B1, B2 on angles 0..5, W on 6..8 and
     A1, A2 on 9..14; each partial differentiates one factor in place.
     """
-    b1, db1 = _euler(per_block[:, 0:3])
-    b2, db2 = _euler(per_block[:, 3:6])
-    a1, da1 = _euler(per_block[:, 9:12])
-    a2, da2 = _euler(per_block[:, 12:15])
+    count = len(per_block)
+    e, de = _euler(per_block[:, _EULER_ANGLES].reshape(count, 4, 3))
     w = _entangler(per_block[:, 6:9])
-    pre, post = _kron22(b1, b2), _kron22(a1, a2)
+    krons = np.empty((count, 2, 2, 2, 2, 2), dtype=complex)  # B1 x B2, A1 x A2
+    _kron22(e[:, 0::2], e[:, 1::2], krons)
+    # per side (pre, post): the first factor's three partials, then the second's
+    partial_krons = np.empty((count, 2, 2, 3, 2, 2, 2, 2), dtype=complex)
+    _kron22(de[:, 0::2], e[:, 1::2, None], partial_krons[:, :, 0])
+    _kron22(e[:, 0::2, None], de[:, 1::2], partial_krons[:, :, 1])
+    krons = krons.reshape(count, 2, 4, 4)
+    partial_krons = partial_krons.reshape(count, 2, 6, 4, 4)
+    pre, post = krons[:, 0], krons[:, 1]
     post_w, w_pre = (post @ w)[:, None], (w @ pre)[:, None]
-    partials = np.concatenate(
-        [
-            post_w @ _kron22(db1, b2[:, None]),
-            post_w @ _kron22(b1[:, None], db2),
-            post[:, None] @ _MINUS_I_GENERATORS @ w_pre,
-            _kron22(da1, a2[:, None]) @ w_pre,
-            _kron22(a1[:, None], da2) @ w_pre,
-        ],
-        axis=1,
-    )
+    partials = np.empty((count, BLOCK_PARAMS, 4, 4), dtype=complex)
+    np.matmul(post_w, partial_krons[:, 0], out=partials[:, 0:6])
+    np.matmul(post[:, None] @ _MINUS_I_GENERATORS, w_pre, out=partials[:, 6:9])
+    np.matmul(partial_krons[:, 1], w_pre, out=partials[:, 9:15])
     return post_w[:, 0] @ pre, partials
 
 
@@ -226,11 +247,12 @@ def _validated_theta(ansatz: BrickwallAnsatz, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _forward_states(ansatz: BrickwallAnsatz, blocks_u: np.ndarray) -> list[np.ndarray]:
-    """|0...0> and the state after each block, in block order."""
-    states = [StateVector.zero(ansatz.num_qubits).amplitudes]
-    for pair, u4 in zip(ansatz.blocks, blocks_u):
-        states.append(_apply_gate_array(states[-1], u4, pair, ansatz.num_qubits))
+def _forward_states(ansatz: BrickwallAnsatz, blocks_u: np.ndarray) -> np.ndarray:
+    """|0...0> and the state after each block, in block order, as the rows of one array."""
+    states = np.zeros((len(blocks_u) + 1, 2 ** ansatz.num_qubits), dtype=complex)
+    states[0, 0] = 1.0
+    for i, ((q, _), u4) in enumerate(zip(ansatz.blocks, blocks_u)):
+        states[i + 1] = _apply_dense(states[i], u4, q)
     return states
 
 
@@ -271,14 +293,14 @@ def _cross_matrices(ansatz: BrickwallAnsatz, blocks_u: np.ndarray, target: State
     """
     forwards = _forward_states(ansatz, blocks_u)
     overlap = complex(np.vdot(target.amplitudes, forwards[-1]))
-    back = target.amplitudes
-    cross = np.empty_like(blocks_u)
-    for i in range(len(blocks_u) - 1, -1, -1):
-        pair = ansatz.blocks[i]
-        f, g = (v.reshape(2 ** pair[0], 4, -1).transpose(1, 0, 2).reshape(4, -1) for v in (forwards[i], back))
-        cross[i] = f @ g.conj().T
-        back = _apply_gate_array(back, blocks_u[i].conj().T, pair, ansatz.num_qubits)
-    return 1.0 - overlap.real, cross
+    backs = np.empty_like(forwards[1:])  # row i: the target pulled back through the blocks after i
+    backs[-1] = target.amplitudes
+    daggers = blocks_u.conj().transpose(0, 2, 1)
+    for i in range(len(blocks_u) - 1, 0, -1):
+        backs[i - 1] = _apply_dense(backs[i], daggers[i], ansatz.blocks[i][0])
+    gather = ansatz._pair_gather
+    f, g = forwards[:-1].reshape(-1)[gather], backs.reshape(-1)[gather]
+    return 1.0 - overlap.real, f @ g.conj().transpose(0, 2, 1)
 
 
 def cost_and_gradient(
@@ -318,6 +340,8 @@ class TrainingResult:
     iterations: int
     converged: bool
     seed: int
+    message: str = ""  # scipy's reason for stopping
+    grad_norm: float = math.nan  # |gradient| at the best evaluation
 
 
 def optimize(
@@ -336,7 +360,7 @@ def optimize(
     _check_target(ansatz, target)
     theta_init = np.random.default_rng(config.seed).random(ansatz.num_params)
 
-    best = {"cost": math.inf, "theta": theta_init.copy()}
+    best = {"cost": math.inf, "theta": theta_init.copy(), "grad_norm": math.nan}
     history: list[float] = []
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -344,8 +368,7 @@ def optimize(
         if not math.isfinite(value):
             raise FloatingPointError("optimization diverged: cost is not finite")
         if value < best["cost"]:
-            best["cost"] = value
-            best["theta"] = x.copy()
+            best.update(cost=value, theta=x.copy(), grad_norm=float(np.linalg.norm(grad)))
         if not history:  # L-BFGS-B's first call prices theta_init
             history.append(value)
         return value, grad
@@ -371,6 +394,8 @@ def optimize(
         iterations=int(result.nit),
         converged=bool(result.status == 0),
         seed=config.seed,
+        message=str(result.message),
+        grad_norm=best["grad_norm"],
     )
 
 

@@ -3,17 +3,26 @@
 Most are built directly from their definition, independently of the code
 under test: the central-difference Laplacian as an explicit matrix, the
 small-angle phase diagonal as a signed-wavenumber table, the purity
-Tr(rho^2), the projector of a pure state, and the shot count of a relative
-error.  `smallangle_evolve` is the spectral route with the linearized
-frequencies 2 pi k, the FFT evolution of `exact_evolve` with other phases.
+Tr(rho^2), the projector of a pure state, the shot count of a relative
+error, and the per-outcome statistics of a shot histogram.
+`smallangle_evolve` is the spectral route with the linearized frequencies
+2 pi k, the FFT evolution of `exact_evolve` with other phases.
+
+`stacked_blocks` and `stacked_cost_and_gradient` are the brickwall builder
+and adjoint gradient in their earlier form: four `_euler` calls built from
+nested `np.stack`s, five separate partial products joined by
+`np.concatenate`, and one cross-matrix gemm per block.  They make the same
+products on the same operands as `qwave.stateprep`, so the library must match
+them bit for bit (the L-BFGS path of training moves with the last bits).
 """
 
 import math
 
 import numpy as np
 
-from qwave.sim import DensityMatrix, StateVector
+from qwave.sim import DensityMatrix, StateVector, _apply_gate_array
 from qwave.spectral import _evolve, wavenumbers
+from qwave.stateprep import BLOCK_PARAMS, BrickwallAnsatz
 
 
 def laplacian_matrix(N: int) -> np.ndarray:
@@ -61,3 +70,108 @@ def shots_required(p: float, eps_rel: float) -> int:
     if eps_rel <= 0.0:
         raise ValueError("eps_rel must be positive")
     return math.ceil((1.0 - p) / (p * eps_rel ** 2))
+
+
+def mc_errors(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-outcome shot statistics of a counts array: (p_hat, eps_mc, eps_rel).
+
+    eps_mc = sqrt(p_hat (1 - p_hat) / shots); eps_rel = eps_mc / p_hat,
+    reported as NaN where p_hat = 0.
+    """
+    counts = np.asarray(counts)
+    if np.any(counts < 0):
+        raise ValueError("negative count")
+    shots = counts.sum()
+    if shots <= 0:
+        raise ValueError("counts contain no shots")
+    p_hat = counts / shots
+    eps_mc = np.sqrt(p_hat * (1.0 - p_hat) / shots)
+    eps_rel = np.full(p_hat.shape, np.nan)
+    np.divide(eps_mc, p_hat, out=eps_rel, where=p_hat > 0)
+    return p_hat, eps_mc, eps_rel
+
+
+_Z_DIAG = np.array([1.0, -1.0])
+_MINUS_I_GENERATORS = -1j * np.array(
+    [
+        np.fliplr(np.eye(4)),  # XX
+        np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])),  # YY
+        np.diag([1.0, -1.0, -1.0, 1.0]),  # ZZ
+    ]
+)
+
+
+def _ry(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[[c, -s], [s, c]] over broadcast arrays, stacked on two trailing axes."""
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def _euler(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rz(c) Ry(b) Rz(a) for angles (..., 3) and its partials (..., 3, 2, 2) by generator insertion."""
+    a, b, c = np.moveaxis(angles, -1, 0)
+    left = np.exp(-1j * c[..., None] * _Z_DIAG)[..., :, None]
+    right = np.exp(-1j * a[..., None] * _Z_DIAG)[..., None, :]
+    cos_b, sin_b = np.cos(b), np.sin(b)
+    e = left * _ry(cos_b, sin_b) * right
+    minus_i_z = -1j * _Z_DIAG
+    partials = np.stack([e * minus_i_z, left * _ry(-sin_b, cos_b) * right, minus_i_z[:, None] * e], -3)
+    return e, partials
+
+
+def _entangler(angles: np.ndarray) -> np.ndarray:
+    """exp(-i (a XX + b YY + c ZZ)) for angles (..., 3), in closed form."""
+    a, b, c = np.moveaxis(angles, -1, 0)
+    w = np.zeros(a.shape + (4, 4), dtype=complex)
+    outer, inner = np.exp(-1j * c), np.exp(1j * c)
+    w[..., 0, 0] = w[..., 3, 3] = outer * np.cos(a - b)
+    w[..., 0, 3] = w[..., 3, 0] = -1j * outer * np.sin(a - b)
+    w[..., 1, 1] = w[..., 2, 2] = inner * np.cos(a + b)
+    w[..., 1, 2] = w[..., 2, 1] = -1j * inner * np.sin(a + b)
+    return w
+
+
+def _kron22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*shape, 4, 4)
+
+
+def stacked_blocks(per_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitaries (B, 4, 4) and partials (B, 15, 4, 4) of (A1 x A2) W (B1 x B2), one factor at a time."""
+    b1, db1 = _euler(per_block[:, 0:3])
+    b2, db2 = _euler(per_block[:, 3:6])
+    a1, da1 = _euler(per_block[:, 9:12])
+    a2, da2 = _euler(per_block[:, 12:15])
+    w = _entangler(per_block[:, 6:9])
+    pre, post = _kron22(b1, b2), _kron22(a1, a2)
+    post_w, w_pre = (post @ w)[:, None], (w @ pre)[:, None]
+    partials = np.concatenate(
+        [
+            post_w @ _kron22(db1, b2[:, None]),
+            post_w @ _kron22(b1[:, None], db2),
+            post[:, None] @ _MINUS_I_GENERATORS @ w_pre,
+            _kron22(da1, a2[:, None]) @ w_pre,
+            _kron22(a1[:, None], da2) @ w_pre,
+        ],
+        axis=1,
+    )
+    return post_w[:, 0] @ pre, partials
+
+
+def stacked_cost_and_gradient(
+    ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector
+) -> tuple[float, np.ndarray]:
+    """C(theta) and its adjoint gradient, with one transposed copy and one gemm per block."""
+    blocks_u, partials = stacked_blocks(np.asarray(theta, dtype=float).reshape(-1, BLOCK_PARAMS))
+    m = ansatz.num_qubits
+    forwards = [StateVector.zero(m).amplitudes]
+    for pair, u4 in zip(ansatz.blocks, blocks_u):
+        forwards.append(_apply_gate_array(forwards[-1], u4, pair, m))
+    overlap = complex(np.vdot(target.amplitudes, forwards[-1]))
+    back = target.amplitudes
+    cross = np.empty_like(blocks_u)
+    for i in range(len(blocks_u) - 1, -1, -1):
+        pair = ansatz.blocks[i]
+        f, g = (v.reshape(2 ** pair[0], 4, -1).transpose(1, 0, 2).reshape(4, -1) for v in (forwards[i], back))
+        cross[i] = f @ g.conj().T
+        back = _apply_gate_array(back, blocks_u[i].conj().T, pair, m)
+    return 1.0 - overlap.real, -np.einsum("bjik,bki->bj", partials, cross).real.ravel()

@@ -205,6 +205,15 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     assert "infidelity=" in capsys.readouterr().out
 
 
+def test_train_that_hits_its_iteration_budget_says_so(tmp_path, capsys):
+    rc = cli.main(["train", "--n", "2", "--iters", "3", "--restarts", "1", "--out", str(tmp_path), "--no-svg"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "converged=False" in out and "grad_norm=" in out
+    assert "ITERATIONS REACHED LIMIT" in out.upper()
+    assert set(json.loads((tmp_path / "prep_n2.json").read_text())) == {"n", "depth", "seed", "params", "infidelity"}
+
+
 def test_train_restarts_in_parallel_match_serial(tmp_path, capsys):
     args = ["train", "--n", "2", "--iters", "200", "--restarts", "2", "--seed", "1", "--no-svg"]
     assert cli.main(args + ["--out", str(tmp_path / "serial")]) == 0
@@ -248,10 +257,23 @@ def test_evolve_with_shots_and_noise(tmp_path, capsys):
     sampled = [float(r[2]) for r in rows]
     eps_mc = [float(r[3]) for r in rows]
     assert 0.0 < sum(sampled) <= 1.0 + 1e-12  # the velocity sector absorbs the rest
-    assert any(e > 0 for e in eps_mc)
-    for p_hat, e in zip(sampled, eps_mc):
-        assert e == pytest.approx(math.sqrt(p_hat * (1 - p_hat) / 2000), abs=1e-12)
+    # the binomial width of the distribution the shots were drawn from, not of p_hat
+    state = pipeline.simulate_noisy(pipeline.evolution_circuit(2, 0.3), 1e-3, pipeline.ricker_state(2))
+    for q, e in zip(pipeline.wavefield_probabilities(state, 2), eps_mc):
+        assert e == pytest.approx(math.sqrt(q * (1 - q) / 2000), abs=1e-12)
     assert (out / "evolve_n2_t0.3_p0.001.svg").exists()
+    capsys.readouterr()
+
+
+def test_evolve_shots_give_every_populated_point_an_error_bar(tmp_path, capsys):
+    # a grid point that drew no shot still has a sampling error
+    rc = cli.main(["evolve", "--n", "6", "--mode", "exact", "--shots", "20000", "--seed", "7",
+                   "--out", str(tmp_path), "--no-svg"])
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "evolve_n6_t1.csv")
+    unsampled = [r for r in rows if float(r[2]) == 0.0 and float(r[1]) > 0.0]
+    assert unsampled  # the case this test is about occurs at this seed
+    assert all(float(r[3]) > 0.0 for r in rows if float(r[1]) > 0.0)
     capsys.readouterr()
 
 
@@ -458,6 +480,13 @@ def test_sweep_shots_axis(tmp_path, capsys):
     assert header == ["n", "N", "t", "shots", "max_abs_error", "eps_mc_max"]
     assert [int(r[3]) for r in rows] == [200, 5000]
     assert float(rows[1][4]) < float(rows[0][4])  # more shots, smaller error
+    # eps_mc_max is the largest binomial width of the sampled state's own probabilities
+    probs = pipeline.wavefield_probabilities(
+        pipeline.simulate_noiseless(pipeline.evolution_circuit(3, 0.4), pipeline.ricker_state(3)), 3
+    )
+    for row in rows:
+        width = np.max(np.sqrt(probs * (1 - probs) / int(row[3])))
+        assert float(row[5]) == pytest.approx(width, rel=1e-9)
     capsys.readouterr()
 
 

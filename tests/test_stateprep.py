@@ -5,6 +5,9 @@ Independent oracles: scipy expm for the block generators; for the exact
 gradient, full-state finite differences and a directional derivative that
 builds each block partial from dense np.kron products and prices it with a
 full-state sweep (`block_unitary_partial`, `cost_directional_derivative`).
+The batched block builder and sweeps are also held bit for bit to the stacked
+form in `oracles` (same products, other containers), because the L-BFGS path
+of training moves with the last bits of the gradient.
 """
 
 import math
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import stacked_blocks, stacked_cost_and_gradient
 from scipy.linalg import expm
 
 from qwave.sim import StateVector, _apply_gate_array, apply_circuit
@@ -343,7 +347,37 @@ def test_gradient_matches_oracle_on_random_ansatze(m, depth, seed):
     assert np.max(np.abs(grad - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_blocks_and_gradient_are_bit_identical_to_the_stacked_oracle(n):
+    ans = build_ansatz(n + 1)
+    targets = (ricker_target(GridSpec(n)), _random_target(n + 1, np.random.default_rng(n)))
+    for scale in (1e-3, 1.0, 10.0):
+        for seed in range(10):
+            theta = np.random.default_rng(seed).uniform(-scale, scale, ans.num_params)
+            per_block = theta.reshape(-1, BLOCK_PARAMS)
+            u, partials = _blocks(per_block)
+            u_ref, partials_ref = stacked_blocks(per_block)
+            assert np.array_equal(u, u_ref) and np.array_equal(partials, partials_ref)
+            value, grad = cost_and_gradient(ans, theta, targets[seed % 2])
+            value_ref, grad_ref = stacked_cost_and_gradient(ans, theta, targets[seed % 2])
+            assert value == value_ref and np.array_equal(grad, grad_ref)
+
+
 # -------------------------------------------------------------------- optimizer
+
+
+def test_training_follows_the_stacked_oracle_path_bit_for_bit(monkeypatch):
+    import qwave.stateprep as stateprep
+
+    ans = build_ansatz(4)
+    target = ricker_target(GridSpec(3))
+    result = optimize(ans, target, OptimizerConfig(seed=0))
+    monkeypatch.setattr(stateprep, "cost_and_gradient", stacked_cost_and_gradient)
+    reference = optimize(ans, target, OptimizerConfig(seed=0))
+    assert result.iterations == reference.iterations
+    assert result.history == reference.history
+    assert np.array_equal(result.params, reference.params)
+    assert (result.message, result.grad_norm) == (reference.message, reference.grad_norm)
 
 
 def test_optimizer_is_deterministic():
@@ -375,6 +409,16 @@ def test_optimizer_respects_iteration_budget():
     target = ricker_target(GridSpec(3))
     result = optimize(ans, target, OptimizerConfig(max_iters=3, seed=0))
     assert result.iterations <= 4
+    assert not result.converged
+    assert "ITERATIONS REACHED LIMIT" in result.message.upper()
+
+
+def test_optimizer_reports_the_gradient_norm_at_the_best_point():
+    ans = build_ansatz(3)
+    target = ricker_target(GridSpec(2))
+    result = optimize(ans, target, OptimizerConfig(max_iters=20, seed=0))
+    _, grad = cost_and_gradient(ans, result.params, target)
+    assert result.grad_norm == np.linalg.norm(grad)
 
 
 def test_optimizer_prices_the_start_point_once(monkeypatch):
