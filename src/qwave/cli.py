@@ -316,10 +316,10 @@ def _sweep_grid_axis(config: RunConfig) -> int:
     else:
         lo, hi = config.n_range or (2, 9)
         p_list = config.p or (1e-5, 1e-4, 1e-3)
-    pipeline.check_memory(hi, max(p_list) > 0.0)
-    out = _out_dir(config)
     ns = list(range(lo, hi + 1))
     points = [(n, config.t, p) for p in p_list for n in ns]
+    pipeline.check_memory(hi, max(p_list) > 0.0, min(config.workers, len(points)))
+    out = _out_dir(config)
     rows = _map(pipeline.sweep_point, points, config.workers)
     path = _write_sweep(out, f"sweep_{config.axis}.csv", rows)
 
@@ -360,12 +360,12 @@ def _sweep_grid_axis(config: RunConfig) -> int:
 
 def _sweep_time_axis(config: RunConfig) -> int:
     p = _single_p(config)
-    pipeline.check_memory(config.n, p > 0.0)
-    out = _out_dir(config)
     t_lo, t_hi = config.t_range or (0.1, 1.0)
     # the slack keeps an end point that dt divides up to rounding, e.g. 0.9 / 0.3 = 2.9999999999999996
     steps = math.floor((t_hi - t_lo) / config.dt + 1e-9)
     points = [(config.n, t_lo + i * config.dt, p) for i in range(steps + 1)]
+    pipeline.check_memory(config.n, p > 0.0, min(config.workers, len(points)))
+    out = _out_dir(config)
     rows = _map(pipeline.sweep_point, points, config.workers)
     path = _write_sweep(out, "sweep_t.csv", rows)
 

@@ -63,17 +63,18 @@ def exact_reference(n: int, t: float) -> StateVector:
     return spectral.exact_evolve(psi0, np.zeros(2 ** n), t)
 
 
-def check_memory(n: int, noisy: bool) -> None:
-    """Refuse a run on n spatial qubits whose working arrays would not fit in physical memory.
+def check_memory(n: int, noisy: bool, concurrent: int = 1) -> None:
+    """Refuse `concurrent` runs at once on n spatial qubits whose working arrays would not fit in physical memory.
 
-    Peak RSS above the import baseline measured 2.1-2.2 density matrices (n = 8..10) and
-    8.6-11.3 statevectors (n = 16..21), hence 3 and 11 working copies of the state.
+    Peak RSS above the import baseline measured 1.27-1.42 density matrices (n = 8..10) and
+    8.6-11.3 statevectors (n = 16..21), hence 1.5 and 11 working copies of the state per run.
     """
     dim = 2 ** (n + 1)
-    need = 16 * (3 * dim * dim if noisy else 11 * dim)
+    need = concurrent * 16 * (1.5 * dim * dim if noisy else 11 * dim)
     if need > PHYSICAL_MEMORY:
         kind = "noisy" if noisy else "noiseless"
-        raise ValueError(f"a {kind} run at n={n} needs about {need / 2 ** 30:.3g} GiB of working arrays, "
+        runs = f"a {kind} run at n={n} needs" if concurrent == 1 else f"{concurrent} {kind} runs at n={n} at once need"
+        raise ValueError(f"{runs} about {need / 2 ** 30:.3g} GiB of working arrays, "
                          f"more than the {PHYSICAL_MEMORY / 2 ** 30:.3g} GiB of physical memory")
 
 

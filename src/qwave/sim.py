@@ -20,11 +20,12 @@ One gate kernel, `_apply_gate_array`, serves the statevector, the unitary and
 state prep: a diagonal gate (RZ, RZZ, CPHASE, DIAG) multiplies the amplitudes
 by its phases, a dense one (H, PHASEDX, a state-prep block) is one matmul over
 its consecutive target axes.  On a density matrix a dense gate is that kernel
-on the row axes with U and on the column axes with conj(U).  A diagonal gate
-is one in-place pass instead: the rows whose target bits agree share one
-phase, so each such row class is multiplied by one contiguous column-phase
-vector.  Every two-qubit gate is diagonal, and D on (a, b) leaves Tr_ab rho
-unchanged, so its channel folds into the same pass:
+on the row axes with U and on the column axes with conj(U), in place: it
+overwrites rho slab by slab, 1 MiB at a time.  A diagonal gate is one in-place
+pass: the rows whose target bits agree share one phase, so each such row class
+is multiplied by one contiguous column-phase vector.  Every two-qubit gate is
+diagonal, and D on (a, b) leaves Tr_ab rho unchanged, so its channel folds
+into the same pass:
 
     E(D rho D^dag) = (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab,  w = 16p/15,
 
@@ -203,21 +204,41 @@ def _apply_gate_array(amps: np.ndarray, u: np.ndarray, targets: Sequence[int], n
     return _apply_dense(amps, u, q)
 
 
-def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    """The dense branch of `_apply_gate_array`, unchecked: `u` on the wires q, q+1, ... of amps."""
+_SLAB = 2 ** 16  # entries an in-place dense gate works on at once: 1 MiB of complex128
+
+
+def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False) -> np.ndarray:
+    """The dense branch of `_apply_gate_array`, unchecked: `u` on the wires q, q+1, ... of amps.
+
+    With `in_place`, a C-contiguous amps is overwritten slab by slab, at most
+    `_SLAB` entries at a time, and returned: no second array of its size is
+    made.  Every slab takes the branch the whole array selects, and each
+    product sees the same operands, so both modes give the same bits.
+    """
     lead, dim = 2 ** q, len(u)
     rest = amps.size // (lead * dim)
     if rest >= 16 or (rest >= 4 and lead <= 64):
-        out = np.matmul(u, amps.reshape(lead, dim, rest))
-    else:
-        # Short rows: matmul loops over `lead` tiny products (~0.5 us each), and below rest = 4
-        # it leaves BLAS gemm and rounds differently, which moves the L-BFGS path of state-prep
-        # training.  One gemm with (u x I_rest)^T is faster and rounds like the rest.
-        wide = u.T
-        if rest > 1:
-            wide = (wide[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(dim * rest, -1)
-        out = amps.reshape(lead, dim * rest) @ wide
-    return out.reshape(amps.shape)
+        blocks = amps.reshape(lead, dim, rest, copy=False if in_place else None)
+        if not in_place:
+            return np.matmul(u, blocks).reshape(amps.shape)
+        step, width = max(1, _SLAB // (dim * rest)), min(rest, _SLAB // dim)  # lead rows, columns
+        for i in range(0, lead, step):
+            for j in range(0, rest, width):
+                blocks[i:i + step, :, j:j + width] = np.matmul(u, blocks[i:i + step, :, j:j + width])
+        return amps
+    # Short rows: matmul loops over `lead` tiny products (~0.5 us each), and below rest = 4
+    # it leaves BLAS gemm and rounds differently, which moves the L-BFGS path of state-prep
+    # training.  One gemm with (u x I_rest)^T is faster and rounds like the rest.
+    wide = u.T
+    if rest > 1:
+        wide = (wide[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(dim * rest, -1)
+    rows = amps.reshape(lead, dim * rest, copy=False if in_place else None)
+    if not in_place:
+        return (rows @ wide).reshape(amps.shape)
+    step = max(1, _SLAB // (dim * rest))  # a power of two, so a slab has one row only when the array has
+    for i in range(0, lead, step):
+        rows[i:i + step] = rows[i:i + step] @ wide
+    return amps
 
 
 class Circuit:
@@ -405,7 +426,10 @@ def _dm_diagonal_pass(entries: np.ndarray, phases: np.ndarray, targets: Sequence
     if w:
         pair = entries.reshape(dims + dims, copy=False)
         blocks = [(every, i, every, j, every) * 2 for i in (0, 1) for j in (0, 1)]
-        share = (w / 4.0) * sum(pair[block] for block in blocks)
+        share = np.add(0, pair[blocks[0]])  # the sum 0 + b0 + b1 + ... in one buffer
+        for block in blocks[1:]:
+            np.add(share, pair[block], out=share)
+        np.multiply(w / 4.0, share, out=share)
     rows = entries.reshape(dims + [2 ** m], copy=False)
     for bits in np.ndindex(row_phases.shape):
         rows[tuple(x for bit in bits for x in (every, bit))] *= ((1.0 - w) * row_phases[bits]) * column_phases
@@ -458,7 +482,10 @@ def apply_circuit_noisy(start: StateVector | DensityMatrix, circuit: Circuit, no
     single-qubit gates update, until a multi-qubit gate inserts it into rho (or
     the end does, before the final permutation).  A `DensityMatrix` start holds
     no wire.  Works on one copy of rho: a diagonal gate, with its channel if it
-    has two targets, is one in-place pass; a dense gate makes a new array.
+    has two targets, is one in-place pass, and a dense gate is the kernel in
+    place on the row axes, then on the column axes.  Only the trailing
+    relabeling's gather copies rho; inserting a held wire makes the 4x larger
+    rho from the old one.
     """
     if start.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit act on different register sizes")
@@ -484,10 +511,10 @@ def apply_circuit_noisy(start: StateVector | DensityMatrix, circuit: Circuit, no
         k = len(live)
         targets = tuple(live.index(t) for t in gate.targets)
         phases = gate.phases()
-        if phases is None:  # U on the row axes, then conj(U) on the column axes; each step frees its input
-            u, shape, columns = gate.matrix(), entries.shape, tuple(t + k for t in targets)
-            entries = _apply_gate_array(entries.reshape(-1), u, targets, 2 * k)
-            entries = _apply_gate_array(entries, u.conj(), columns, 2 * k).reshape(shape)
+        if phases is None:  # U on the row axes, then conj(U) on the column axes, both in place
+            u, (t,) = gate.matrix(), targets
+            _apply_dense(entries.reshape(-1), u, t, in_place=True)
+            _apply_dense(entries.reshape(-1), u.conj(), t + k, in_place=True)
         else:
             _dm_diagonal_pass(entries, phases, targets, k, w if gate.num_targets == 2 else 0.0)
     for q in sorted(held):

@@ -14,13 +14,27 @@ nested `np.stack`s, five separate partial products joined by
 `np.concatenate`, and one cross-matrix gemm per block.  They make the same
 products on the same operands as `qwave.stateprep`, so the library must match
 them bit for bit (the L-BFGS path of training moves with the last bits).
+
+`out_of_place_noisy` is the noisy density-matrix loop in its earlier form:
+each dense gate writes a new rho from the whole-array kernel, and the
+depolarizing share is a `sum()` of the four pair blocks.  The in-place,
+slab-by-slab library loop makes the same products, so it must match bit for
+bit.
 """
 
+import bisect
 import math
 
 import numpy as np
 
-from qwave.sim import DensityMatrix, StateVector, _apply_gate_array
+from qwave.sim import (
+    DensityMatrix,
+    StateVector,
+    _apply_gate_array,
+    _basis_wires,
+    _insert_wire,
+    _permutation_source,
+)
 from qwave.spectral import _evolve, wavenumbers
 from qwave.stateprep import BLOCK_PARAMS, BrickwallAnsatz
 
@@ -175,3 +189,59 @@ def stacked_cost_and_gradient(
         cross[i] = f @ g.conj().T
         back = _apply_gate_array(back, blocks_u[i].conj().T, pair, m)
     return 1.0 - overlap.real, -np.einsum("bjik,bki->bj", partials, cross).real.ravel()
+
+
+def _summed_diagonal_pass(entries: np.ndarray, phases: np.ndarray, targets, m: int, w: float) -> None:
+    """rho <- (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab in place, the share summed with sum()."""
+    wires = sorted(targets)
+    bounds = [-1] + wires
+    dims = [d for lo, hi in zip(bounds, bounds[1:]) for d in (2 ** (hi - lo - 1), 2)] + [2 ** (m - 1 - wires[-1])]
+    row_phases = phases.reshape([2] * len(targets)).transpose(np.argsort(targets))
+    column_phases = _apply_gate_array(np.ones(2 ** m, dtype=complex), phases.conj(), targets, m)
+    every = slice(None)
+    if w:
+        pair = entries.reshape(dims + dims, copy=False)
+        blocks = [(every, i, every, j, every) * 2 for i in (0, 1) for j in (0, 1)]
+        share = (w / 4.0) * sum(pair[block] for block in blocks)
+    rows = entries.reshape(dims + [2 ** m], copy=False)
+    for bits in np.ndindex(row_phases.shape):
+        rows[tuple(x for bit in bits for x in (every, bit))] *= ((1.0 - w) * row_phases[bits]) * column_phases
+    if w:
+        for block in blocks:
+            pair[block] += share
+
+
+def out_of_place_noisy(start, circuit, p: float) -> np.ndarray:
+    """The entries of the noisy run of `circuit` from `start`, each dense gate into a new rho."""
+    m = circuit.num_qubits
+    w = 16.0 * p / 15.0
+    if isinstance(start, StateVector):
+        held, amps = _basis_wires(start)
+        entries = np.outer(amps, amps.conj())
+    else:
+        held, entries = {}, start.entries.copy()
+    live = [q for q in range(m) if q not in held]
+    for gate in circuit.gates:
+        if gate.num_targets == 1 and gate.targets[0] in held:
+            q = gate.targets[0]
+            held[q] = gate.matrix() @ held[q]
+            continue
+        for q in sorted(t for t in gate.targets if t in held):
+            position = bisect.bisect_left(live, q)
+            entries = _insert_wire(entries, held.pop(q), position)
+            live.insert(position, q)
+        k = len(live)
+        targets = tuple(live.index(t) for t in gate.targets)
+        phases = gate.phases()
+        if phases is None:
+            u, shape, columns = gate.matrix(), entries.shape, tuple(t + k for t in targets)
+            entries = _apply_gate_array(entries.reshape(-1), u, targets, 2 * k)
+            entries = _apply_gate_array(entries, u.conj(), columns, 2 * k).reshape(shape)
+        else:
+            _summed_diagonal_pass(entries, phases, targets, k, w if gate.num_targets == 2 else 0.0)
+    for q in sorted(held):
+        entries = _insert_wire(entries, held[q], q)
+    if circuit.final_permutation is not None:
+        src = _permutation_source(m, tuple(circuit.final_permutation))
+        entries = entries[np.ix_(src, src)]
+    return entries

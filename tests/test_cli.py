@@ -429,6 +429,22 @@ def test_sweep_refuses_a_run_beyond_physical_memory_before_any_point(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis_args", [
+    ["--axis", "p", "--n-range", "2:4", "--p", "1e-3"],
+    ["--axis", "t", "--n", "4", "--p", "1e-3", "--t-range", "0.1:0.3", "--dt", "0.1"],
+])
+def test_sweep_prices_every_point_its_workers_hold_at_once(tmp_path, capsys, monkeypatch, axis_args):
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 30000)  # one noisy point at n = 4: 1.5 * 16 * 32^2 = 24576 bytes
+    maps = []
+    monkeypatch.setattr(cli, "_map", lambda fn, calls, workers: maps.append(workers) or [fn(*c) for c in calls])
+    out = tmp_path / "two"
+    assert cli.main(["sweep", *axis_args, "--workers", "2", "--no-svg", "--out", str(out)]) == 1
+    assert "2 noisy runs at n=4 at once need about" in capsys.readouterr().err
+    assert maps == [] and not out.exists()
+    assert cli.main(["sweep", *axis_args, "--workers", "1", "--no-svg", "--out", str(tmp_path / "one")]) == 0
+    assert maps == [1]
+
+
 def test_evolve_refuses_a_density_matrix_beyond_physical_memory(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["evolve", "--n", "20", "--p", "1e-3", "--out", str(out)]) == 1

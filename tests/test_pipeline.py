@@ -5,16 +5,19 @@ The two routes are computed by disjoint code paths (gate-level simulation
 vs FFT algebra), so their agreement is the strongest oracle here.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import pure_density, purity, smallangle_evolve
+from oracles import out_of_place_noisy, pure_density, purity, smallangle_evolve
 from qwave import pipeline
-from qwave.sim import DensityMatrix, StateVector, state_infidelity
+from qwave.sim import Circuit, DensityMatrix, NoiseModel, StateVector, apply_circuit_noisy, state_infidelity
 from qwave.spectral import dft, exact_evolve, infidelity_model
 from qwave.stateprep import (
     Checkpoint,
     GridSpec,
+    ansatz_to_circuit,
     OptimizerConfig,
     RickerParams,
     build_ansatz,
@@ -107,6 +110,46 @@ def test_trained_prep_runs_inside_noisy_circuit():
     assert purity(prepared) < 1.0 - 1e-5
 
 
+def _noisy_run_case(name: str, n: int) -> tuple[StateVector | DensityMatrix, Circuit]:
+    """A start and a circuit on n + 1 qubits for the noisy run-level oracle test."""
+    rng = np.random.default_rng(n)
+    evolution = pipeline.evolution_circuit(n, 0.37)
+    if name == "injected_ricker":  # wire 0 held in |0> until the first gate that reaches it
+        return pipeline.ricker_state(n), evolution
+    if name == "prep":  # every wire held; PHASEDX on held wires, then on live ones
+        ansatz = build_ansatz(n + 1)
+        prep = ansatz_to_circuit(ansatz, rng.uniform(-np.pi, np.pi, ansatz.num_params))
+        return StateVector.zero(n + 1), pipeline.evolution_circuit(n, 0.37, prep=prep)
+    if name == "mixed_start":  # a DensityMatrix holds no wire
+        other = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+        rho = 0.7 * pure_density(pipeline.ricker_state(n)).entries
+        rho += 0.3 * np.outer(other, other.conj()) / np.vdot(other, other).real
+        return DensityMatrix(rho), evolution
+    evolution._set_permutation([(q + 1) % (n + 1) for q in range(n + 1)])  # a trailing relabeling
+    return pipeline.ricker_state(n), evolution
+
+
+@pytest.mark.parametrize("name", ["injected_ricker", "prep", "mixed_start", "relabeled"])
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("p", [0.0, 1e-4, 1e-3, 0.5])
+def test_noisy_run_is_bit_identical_to_the_out_of_place_loop(name, n, p):
+    start, circuit = _noisy_run_case(name, n)
+    got = apply_circuit_noisy(start, circuit, NoiseModel(p)).entries
+    assert np.array_equal(got, out_of_place_noisy(start, circuit, p))
+
+
+def test_noisy_run_peaks_below_one_and_a_half_density_matrices():
+    n = 8  # rho is 2^9 x 2^9, 4 MiB: several 1-MiB slabs per dense gate
+    circuit, start = pipeline.evolution_circuit(n, 1.0), pipeline.ricker_state(n)
+    tracemalloc.start()
+    try:
+        rho = pipeline.simulate_noisy(circuit, 1e-3, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * rho.entries.nbytes
+
+
 def test_measured_infidelity_matches_closed_form_model():
     for n, t in ((4, 1.0), (5, 0.5), (6, 1.0)):
         measured = pipeline.circuit_infidelity(n, t)
@@ -149,10 +192,10 @@ def test_smoothly_periodic_input_converges_as_n_to_the_minus_four():
 
 def test_memory_guard_refuses_runs_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", int(7.8 * 2 ** 30))
-    pipeline.check_memory(12, noisy=True)  # 3 density matrices of 2^13 x 2^13: 3 GiB
+    pipeline.check_memory(13, noisy=True)  # 1.5 density matrices of 2^14 x 2^14: 6 GiB
     pipeline.check_memory(24, noisy=False)  # 11 statevectors of 2^25 amplitudes: 5.5 GiB
-    with pytest.raises(ValueError, match="a noisy run at n=13 needs about 12 GiB"):
-        pipeline.check_memory(13, noisy=True)
+    with pytest.raises(ValueError, match="a noisy run at n=14 needs about 24 GiB"):
+        pipeline.check_memory(14, noisy=True)
     with pytest.raises(ValueError, match="a noiseless run at n=25 needs about 11 GiB"):
         pipeline.check_memory(25, noisy=False)
 

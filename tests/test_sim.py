@@ -5,6 +5,7 @@ recomputed through an independent dense-kron oracle in this file.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pure_density, purity
+from qwave import sim
 from qwave.sim import (
     Circuit,
     DensityMatrix,
@@ -30,7 +32,7 @@ from qwave.sim import (
     sample_bitstrings,
     state_infidelity,
 )
-from qwave.sim import _apply_gate_array
+from qwave.sim import _apply_dense, _apply_gate_array
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,6 +185,41 @@ def test_dense_kernel_needs_consecutive_ascending_targets():
             _apply_gate_array(amps, u4, targets, 3)
     with pytest.raises(ValueError):
         _apply_gate_array(amps, hadamard(0).matrix(), (3,), 3)
+
+
+def _random_complex(rng, shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_in_place_dense_kernel_spans_slabs_on_both_branches(dim):
+    m = 18  # 2^18 entries, four slabs; rest >= 16 takes the matmul branch, rest <= 8 the short-row gemm
+    rng = np.random.default_rng(dim)
+    u, amps = _random_complex(rng, (dim, dim)), _random_complex(rng, 2 ** m)
+    for q in range(m - dim // 2 + 1):
+        got = amps.copy()
+        assert _apply_dense(got, u, q, in_place=True) is got
+        assert np.array_equal(got, _apply_dense(amps, u, q)), q
+
+
+@st.composite
+def _dense_kernel_cases(draw):
+    """A register of 1-14 qubits, a dense gate of dim 2 or 4 on its wires q.., and a slab of 2^6-2^16 entries."""
+    dim = draw(st.sampled_from([2, 4]))
+    m = draw(st.integers(dim // 2, 14))
+    return m, draw(st.integers(0, m - dim // 2)), dim, 2 ** draw(st.integers(6, 16))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_dense_kernel_cases(), st.integers(0, 2 ** 32 - 1))
+def test_in_place_dense_kernel_is_bit_identical_to_the_out_of_place_one(case, seed):
+    m, q, dim, slab = case
+    rng = np.random.default_rng(seed)
+    u, amps = _random_complex(rng, (dim, dim)), _random_complex(rng, 2 ** m)
+    got = amps.copy()
+    with mock.patch.object(sim, "_SLAB", slab):
+        _apply_dense(got, u, q, in_place=True)
+    assert np.array_equal(got, _apply_dense(amps, u, q))
 
 
 # ------------------------------------------------------- kernel property tests
