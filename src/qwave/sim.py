@@ -217,28 +217,25 @@ def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False
     """
     lead, dim = 2 ** q, len(u)
     rest = amps.size // (lead * dim)
-    if rest >= 16 or (rest >= 4 and lead <= 64):
-        def product(x):
-            return np.matmul(u, x)
-    else:
+    matmul = rest >= 16 or (rest >= 4 and lead <= 64)
+    if not matmul:
         # Short rows: matmul loops over `lead` tiny products (~0.5 us each), and below rest = 4
         # it leaves BLAS gemm and rounds differently, which moves the L-BFGS path of state-prep
         # training.  One gemm with (u x I_rest)^T is faster and rounds like the rest.
         wide = u.T
         if rest > 1:
             wide = (wide[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(dim * rest, -1)
-
-        def product(x):
-            return (x.reshape(len(x), dim * rest) @ wide).reshape(x.shape)
-    blocks = amps.reshape(lead, dim, rest, copy=False if in_place else None)
     if not in_place:
-        return product(blocks).reshape(amps.shape)
-    # A short-row slab keeps whole rows (width = rest), so the reshape in `product` is a view;
-    # `step` is a power of two, so a slab has a single row only when the whole array has.
+        out = np.matmul(u, amps.reshape(lead, dim, rest)) if matmul else amps.reshape(lead, dim * rest) @ wide
+        return out.reshape(amps.shape)
+    # A short-row slab keeps whole rows (width = rest), so its reshape is a view; `step` is a
+    # power of two, so a slab has a single row only when the whole array has.
+    blocks = amps.reshape(lead, dim, rest, copy=False)
     step, width = max(1, _SLAB // (dim * rest)), min(rest, _SLAB // dim)
     for i in range(0, lead, step):
         for j in range(0, rest, width):
-            blocks[i:i + step, :, j:j + width] = product(blocks[i:i + step, :, j:j + width])
+            slab = blocks[i:i + step, :, j:j + width]
+            slab[...] = np.matmul(u, slab) if matmul else (slab.reshape(len(slab), -1) @ wide).reshape(slab.shape)
     return amps
 
 
