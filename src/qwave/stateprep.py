@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -340,8 +341,64 @@ class TrainingResult:
     iterations: int
     converged: bool
     seed: int
-    message: str = ""  # scipy's reason for stopping
+    message: str = ""  # why L-BFGS stopped, in L-BFGS-B's words
     grad_norm: float = math.nan  # |gradient| at the best evaluation
+
+
+_ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+
+
+def _lbfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, int, str]:
+    """Minimize fun(x) -> (value, gradient) by L-BFGS; returns the last iterate, iterations and stop message.
+
+    The textbook method (Liu & Nocedal 1989; Nocedal & Wright alg. 7.4) with
+    L-BFGS-B's memory of 10 pairs, H0 = (s.y / y.y) I, first step 1/|g| and
+    unit steps after it, its stop rules (max|g| <= 1e-12, relative reduction of
+    f <= 1e-12) and its messages.  Armijo backtracking (c1 = 1e-4) halves the
+    step at most 20 times; a failed search clears the memory and retries along
+    -g, and fails for good on an empty memory.  A pair is skipped unless
+    s.y > eps y.y.  `callback(value)` sees each accepted value.
+    """
+    value, grad = fun(x)
+    if np.max(np.abs(grad)) <= 1e-12:
+        return x, 0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+    pairs: deque = deque(maxlen=10)  # (s, y, 1 / s.y), oldest first
+    iterations = 0
+    while True:
+        direction, alphas = -grad, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ direction))
+            direction = direction - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            direction = direction / (rho * (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction = direction + (alpha - rho * (y @ direction)) * s
+        step = 1.0 / np.linalg.norm(grad) if iterations == 0 else 1.0
+        slope = grad @ direction
+        for _ in range(20):
+            new_x = x + step * direction
+            new_value, new_grad = fun(new_x)
+            if new_value <= value + 1e-4 * step * slope:
+                break
+            step /= 2.0
+        else:
+            if not pairs:
+                return x, iterations, "ABNORMAL: "
+            pairs.clear()
+            continue
+        s, y = new_x - x, new_grad - grad
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs.append((s, y, 1.0 / (s @ y)))
+        old_value, x, value, grad = value, new_x, new_value, new_grad
+        iterations += 1
+        callback(value)
+        if iterations >= max_iters:
+            return x, iterations, _ITERATION_LIMIT
+        if np.max(np.abs(grad)) <= 1e-12:
+            return x, iterations, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+        if old_value - value <= 1e-12 * max(abs(old_value), abs(value), 1.0):
+            return x, iterations, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
 
 
 def optimize(
@@ -355,8 +412,6 @@ def optimize(
     and records a monotone best-cost-per-iteration history.
     Raises on NaN cost instead of returning a bogus optimum.
     """
-    from scipy.optimize import minimize  # deferred: it dominates the import time of qwave.cli
-
     _check_target(ansatz, target)
     theta_init = np.random.default_rng(config.seed).random(ansatz.num_params)
 
@@ -369,32 +424,22 @@ def optimize(
             raise FloatingPointError("optimization diverged: cost is not finite")
         if value < best["cost"]:
             best.update(cost=value, theta=x.copy(), grad_norm=float(np.linalg.norm(grad)))
-        if not history:  # L-BFGS-B's first call prices theta_init
+        if not history:  # the first call prices theta_init
             history.append(value)
         return value, grad
 
-    result = minimize(
-        objective,
-        theta_init,
-        jac=True,
-        method="L-BFGS-B",
-        callback=lambda xk: history.append(best["cost"]),
-        options={
-            "maxiter": config.max_iters,
-            "maxcor": 10,
-            "ftol": 1e-12,
-            "gtol": 1e-12,
-        },
+    _, iterations, message = _lbfgs(
+        objective, theta_init, config.max_iters, lambda value: history.append(best["cost"])
     )
     return TrainingResult(
         params=best["theta"],
         cost=best["cost"],
         infidelity=infidelity(ansatz, best["theta"], target),
         history=tuple(history),
-        iterations=int(result.nit),
-        converged=bool(result.status == 0),
+        iterations=iterations,
+        converged=message.startswith("CONVERGENCE"),
         seed=config.seed,
-        message=str(result.message),
+        message=message,
         grad_norm=best["grad_norm"],
     )
 
