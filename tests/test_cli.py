@@ -551,6 +551,25 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: a module set to None in sys.modules fails to import
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from qwave import cli
+for argv in (
+    ["train", "--n", "2", "--iters", "50", "--restarts", "1"],
+    ["evolve", "--n", "3", "--p", "1e-3"],
+    ["sweep", "--axis", "p", "--n-range", "2:3", "--p", "1e-3"],
+    ["gatecount", "--n-range", "2:4"],
+):
+    assert cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0, argv
+"""
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert (tmp_path / "prep_n2.json").is_file() and (tmp_path / "gatecounts.csv").is_file()
+
+
 def test_unknown_command_is_an_argparse_error():
     with pytest.raises(SystemExit):
         cli.main(["warp"])

@@ -7,7 +7,8 @@ builds each block partial from dense np.kron products and prices it with a
 full-state sweep (`block_unitary_partial`, `cost_directional_derivative`).
 The batched block builder and sweeps are also held bit for bit to the stacked
 form in `oracles` (same products, other containers), because the L-BFGS path
-of training moves with the last bits of the gradient.
+of training moves with the last bits of the gradient.  The L-BFGS helper is
+held to scipy's L-BFGS-B minimizer and to A^-1 b on SPD quadratics.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import stacked_blocks, stacked_cost_and_gradient
 from scipy.linalg import expm
+from scipy.optimize import minimize, rosen, rosen_der
 
 from qwave.sim import StateVector, _apply_gate_array, apply_circuit
 from qwave.stateprep import (
@@ -27,9 +29,11 @@ from qwave.stateprep import (
     GridSpec,
     OptimizerConfig,
     RickerParams,
+    _ITERATION_LIMIT,
     _blocks,
     _check_target,
     _forward_states,
+    _lbfgs,
     _validated_theta,
     ansatz_to_circuit,
     build_ansatz,
@@ -452,6 +456,79 @@ def test_optimizer_raises_on_non_finite_cost():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
+
+
+def test_optimizer_raises_when_the_cost_turns_nan_in_a_line_search(monkeypatch):
+    # every call after the first prices a line-search trial
+    import qwave.stateprep as stateprep
+
+    calls = []
+    exact = stateprep.cost_and_gradient
+
+    def turning_nan(ansatz, theta, target):
+        calls.append(1)
+        value, grad = exact(ansatz, theta, target)
+        return (math.nan if len(calls) > 4 else value), grad
+
+    monkeypatch.setattr(stateprep, "cost_and_gradient", turning_nan)
+    with pytest.raises(FloatingPointError):
+        optimize(build_ansatz(3), ricker_target(GridSpec(2)), OptimizerConfig(max_iters=100, seed=0))
+    assert len(calls) == 5
+
+
+# ---------------------------------------------------- L-BFGS against L-BFGS-B
+
+
+def _quadratic(a: np.ndarray, b: np.ndarray):
+    """1/2 x.A.x - b.x and its gradient."""
+    return lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)
+
+
+def _scipy_minimizer(fun, x0: np.ndarray) -> np.ndarray:
+    """L-BFGS-B with the settings training used before it had its own L-BFGS."""
+    options = {"maxiter": 5000, "maxcor": 10, "ftol": 1e-12, "gtol": 1e-12}
+    return minimize(fun, x0, jac=True, method="L-BFGS-B", options=options).x
+
+
+_SPD = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 0.7]])
+
+
+@pytest.mark.parametrize(
+    "fun, x0",
+    [
+        (lambda x: (rosen(x), rosen_der(x)), np.array([1.3, 0.7, 0.8, 1.9, 1.2, 0.9])),
+        (_quadratic(_SPD, np.array([1.0, -2.0, 0.5])), np.zeros(3)),
+    ],
+    ids=["rosenbrock-6d", "spd-quadratic"],
+)
+def test_lbfgs_reaches_the_scipy_minimizer(fun, x0):
+    x, iterations, message = _lbfgs(fun, x0, 5000, lambda value: None)
+    assert message.startswith("CONVERGENCE") and 0 < iterations < 5000
+    assert np.max(np.abs(x - _scipy_minimizer(fun, x0))) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_lbfgs_on_random_spd_quadratics(dim, budget, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a = q @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, dim)) @ q.T  # condition number below 100
+    b, x0 = rng.standard_normal(dim), rng.standard_normal(dim)
+    fun = _quadratic(a, b)
+    values = [fun(x0)[0]]
+    _, iterations, message = _lbfgs(fun, x0, 1000, values.append)
+    assert message.startswith("CONVERGENCE")
+    # f(x) - f(A^-1 b) is half the squared A-norm distance to A^-1 b; the
+    # relative-reduction stop (1e-12, as in L-BFGS-B) leaves it near 1e-11
+    optimum = fun(np.linalg.solve(a, b))[0]
+    assert values[-1] - optimum <= 1e-10 * max(1.0, abs(optimum))
+    assert np.all(np.diff(values) <= 0.0)
+    limited = [values[0]]
+    _, limited_iterations, limited_message = _lbfgs(fun, x0, budget, limited.append)
+    assert limited_iterations <= budget + 1
+    if iterations >= budget:  # the budget binds: the same path, cut at it
+        assert (limited_iterations, limited_message) == (budget, _ITERATION_LIMIT)
+        assert limited == values[: budget + 1]
 
 
 # ------------------------------------------------------------------- checkpoint
