@@ -69,11 +69,6 @@ def build_qft(n: int) -> Circuit:
     return circ
 
 
-def build_iqft(n: int) -> Circuit:
-    """Inverse QFT (conjugate cascade); unitary equals the DFT matrix adjoint."""
-    return build_qft(n).inverse()
-
-
 def build_approx_diagonal(n: int, t: float) -> Circuit:
     """Small-angle phase block: applies e^{-i t 2 pi k Z_0} per signed wavenumber k.
 
@@ -123,7 +118,7 @@ def assemble_evolution(prep: Circuit | None, spec: EvolutionSpec) -> Circuit:
         return circ
     spatial = list(range(1, n + 1))
     circ.append(hadamard(0))
-    circ.extend(build_iqft(n), wires=spatial)
+    circ.extend(build_qft(n).inverse(), wires=spatial)
     if spec.mode == "exact":
         circ.append(build_exact_diagonal(n, spec.t))
     else:

@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from . import pipeline
 from .compile import quadratic_fit
 from .sim import sample_bitstrings, state_infidelity
-from .stateprep import Checkpoint, OptimizerConfig, build_ansatz, optimize
+from .stateprep import Checkpoint, OptimizerConfig, ansatz_to_circuit, build_ansatz, optimize
 from .svgplot import Series, line_chart
 
 
@@ -201,11 +201,11 @@ def _map(fn, calls: list[tuple], workers: int) -> list:
 
 def cmd_train(config: RunConfig) -> int:
     """Train the prep for the Ricker target at n, write prep_n{n}.json."""
-    out = _out_dir(config)
     target = pipeline.ricker_state(config.n)
     ansatz = build_ansatz(config.n + 1, config.depth)
     seeds = range(config.seed, config.seed + config.restarts)
     runs = [(ansatz, target, OptimizerConfig(max_iters=config.iters, seed=s)) for s in seeds]
+    out = _out_dir(config)
     result = min(_map(optimize, runs, config.workers), key=lambda r: r.cost)
     checkpoint = Checkpoint.from_result(config.n, ansatz, result)
     path = out / f"prep_n{config.n}.json"
@@ -228,14 +228,19 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _load_prep(config: RunConfig):
-    """Returns (prep circuit or None, initial state or None) per the prep source."""
+def _evolve(config: RunConfig, p: float):
+    """One evolution run from the prep source (--prep): the final state, noisy if p > 0."""
     if config.prep == "exact":
-        return None, pipeline.ricker_state(config.n)
-    checkpoint = Checkpoint.load(config.prep)
-    if checkpoint.n != config.n:
-        raise ValueError(f"checkpoint is for n={checkpoint.n}, run asked for n={config.n}")
-    return pipeline.prep_circuit(checkpoint), None
+        prep, initial = None, pipeline.ricker_state(config.n)
+    else:
+        checkpoint = Checkpoint.load(config.prep)
+        if checkpoint.n != config.n:
+            raise ValueError(f"checkpoint is for n={checkpoint.n}, run asked for n={config.n}")
+        prep, initial = pipeline.prep_circuit(checkpoint), None
+    circuit = pipeline.evolution_circuit(config.n, config.t, config.mode, prep)
+    if p > 0.0:
+        return pipeline.simulate_noisy(circuit, p, initial)
+    return pipeline.simulate_noiseless(circuit, initial)
 
 
 def _single_p(config: RunConfig) -> float:
@@ -251,15 +256,9 @@ def cmd_evolve(config: RunConfig) -> int:
     if config.mode == "exact" and p > 0.0:
         raise ValueError("evolve --mode exact runs noiselessly: no noise reaches its (n+1)-qubit DIAG gate")
     pipeline.check_memory(config.n, p > 0.0)
-    out = _out_dir(config)
     n, t = config.n, config.t
     N = 2 ** n
-    prep, initial = _load_prep(config)
-    circuit = pipeline.evolution_circuit(n, t, config.mode, prep)
-    if p > 0.0:
-        state = pipeline.simulate_noisy(circuit, p, initial)
-    else:
-        state = pipeline.simulate_noiseless(circuit, initial)
+    state = _evolve(config, p)
     exact = pipeline.exact_reference(n, t)
     exact_probs = pipeline.wavefield_probabilities(exact, n)
     sim_probs = pipeline.wavefield_probabilities(state, n)
@@ -278,6 +277,7 @@ def cmd_evolve(config: RunConfig) -> int:
         (f"{x:.8g}", f"{e:.10g}", f"{s:.10g}", f"{m:.10g}")
         for x, e, s, m in zip(xs, exact_probs, reported, eps_mc)
     ]
+    out = _out_dir(config)
     _write_csv(out / f"{stem}.csv", ["x", "exact_prob", "sim_prob", "eps_mc"], rows)
     if config.svg:
         series = [Series("exact", xs, exact_probs)]
@@ -300,8 +300,8 @@ def _write_sweep(out: Path, name: str, rows: list[pipeline.SweepRow]) -> Path:
     path = out / name
     _write_csv(
         path,
-        list(pipeline.SweepRow.FIELDS),
-        [tuple(f"{v:.10g}" if isinstance(v, float) else v for v in r.astuple()) for r in rows],
+        [f.name for f in fields(pipeline.SweepRow)],
+        [tuple(f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)) for r in rows],
     )
     return path
 
@@ -319,8 +319,8 @@ def _sweep_grid_axis(config: RunConfig) -> int:
     ns = list(range(lo, hi + 1))
     points = [(n, config.t, p) for p in p_list for n in ns]
     pipeline.check_memory(hi, max(p_list) > 0.0, min(config.workers, len(points)))
-    out = _out_dir(config)
     rows = _map(pipeline.sweep_point, points, config.workers)
+    out = _out_dir(config)
     path = _write_sweep(out, f"sweep_{config.axis}.csv", rows)
 
     series = []
@@ -365,8 +365,8 @@ def _sweep_time_axis(config: RunConfig) -> int:
     steps = math.floor((t_hi - t_lo) / config.dt + 1e-9)
     points = [(config.n, t_lo + i * config.dt, p) for i in range(steps + 1)]
     pipeline.check_memory(config.n, p > 0.0, min(config.workers, len(points)))
-    out = _out_dir(config)
     rows = _map(pipeline.sweep_point, points, config.workers)
+    out = _out_dir(config)
     path = _write_sweep(out, "sweep_t.csv", rows)
 
     fit_rows = [r for r in rows if r.t >= 0.1 and r.epsilon > 0]
@@ -396,12 +396,9 @@ def _sweep_shots_axis(config: RunConfig) -> int:
     if not config.shots_list:
         raise ValueError("empty shots axis")
     pipeline.check_memory(config.n, noisy=False)
-    out = _out_dir(config)
     n, t = config.n, config.t
     N = 2 ** n
-    prep, initial = _load_prep(config)
-    circuit = pipeline.evolution_circuit(n, t, config.mode, prep)
-    state = pipeline.simulate_noiseless(circuit, initial)
+    state = _evolve(config, 0.0)
     probs = pipeline.wavefield_probabilities(state, n)
     rows = []
     for i, shots in enumerate(config.shots_list):
@@ -409,6 +406,7 @@ def _sweep_shots_axis(config: RunConfig) -> int:
         max_abs = float(np.max(np.abs(p_hat - probs)))
         eps_mc_max = float(np.max(np.sqrt(probs * (1.0 - probs) / shots)))
         rows.append((n, N, f"{t:g}", shots, f"{max_abs:.10g}", f"{eps_mc_max:.10g}"))
+    out = _out_dir(config)
     path = out / "sweep_shots.csv"
     _write_csv(path, ["n", "N", "t", "shots", "max_abs_error", "eps_mc_max"], rows)
     if config.svg:
@@ -448,9 +446,8 @@ def cmd_gatecount(config: RunConfig) -> int:
     ns = list(range(lo, hi + 1))
     rows = []
     for n in ns:
-        ansatz = build_ansatz(n + 1, config.depth)
-        prep = pipeline.prep_circuit_like(ansatz)
-        rows.append(pipeline.gate_count_row(n, t, prep))
+        ansatz = build_ansatz(n + 1, config.depth)  # zero angles: the gate counts of any trained prep
+        rows.append(pipeline.gate_count_row(n, t, ansatz_to_circuit(ansatz, np.zeros(ansatz.num_params))))
     fits = {}
     for series_name in ("two_qubit_evolution", "two_qubit_with_prep"):
         coeffs, r2 = quadratic_fit(ns, [r[series_name] for r in rows])

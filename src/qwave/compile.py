@@ -62,11 +62,10 @@ def lower(circuit: Circuit) -> Circuit:
 
 @dataclass(frozen=True)
 class GateCounts:
-    """Tally of a circuit: totals, per-kind breakdown, greedy-layered depth."""
+    """Tally of a circuit: totals and greedy-layered depth."""
 
     total: int
     two_qubit: int
-    per_kind: dict[str, int]
     depth: int
 
     def __post_init__(self):
@@ -76,23 +75,16 @@ class GateCounts:
 
 def count(circuit: Circuit) -> GateCounts:
     """Tally gates; depth = greedy layering, gates sharing no qubit may share a layer."""
-    per_kind: dict[str, int] = {}
     two_qubit = 0
     finished = [0] * circuit.num_qubits
     for gate in circuit.gates:
-        per_kind[gate.kind] = per_kind.get(gate.kind, 0) + 1
         if gate.num_targets == 2:
             two_qubit += 1
         layer = 1 + max(finished[t] for t in gate.targets)
         for t in gate.targets:
             finished[t] = layer
     depth = max(finished) if circuit.gates else 0
-    return GateCounts(
-        total=len(circuit.gates),
-        two_qubit=two_qubit,
-        per_kind=per_kind,
-        depth=depth,
-    )
+    return GateCounts(total=len(circuit.gates), two_qubit=two_qubit, depth=depth)
 
 
 def quadratic_fit(xs, ys) -> tuple[tuple[float, float, float], float]:

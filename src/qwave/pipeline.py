@@ -27,13 +27,7 @@ from .sim import (
     apply_circuit_noisy,
     state_infidelity,
 )
-from .stateprep import (
-    BrickwallAnsatz,
-    Checkpoint,
-    GridSpec,
-    ansatz_to_circuit,
-    ricker_target,
-)
+from .stateprep import Checkpoint, GridSpec, ansatz_to_circuit, ricker_target
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
@@ -46,11 +40,6 @@ def ricker_state(n: int) -> StateVector:
 def prep_circuit(checkpoint: Checkpoint) -> Circuit:
     """Trained brickwall prep as a gate circuit (|0...0> -> approximate target)."""
     return ansatz_to_circuit(checkpoint.ansatz(), np.asarray(checkpoint.params))
-
-
-def prep_circuit_like(ansatz: BrickwallAnsatz) -> Circuit:
-    """Zero-angle prep circuit; gate counts match any trained instance of `ansatz`."""
-    return ansatz_to_circuit(ansatz, np.zeros(ansatz.num_params))
 
 
 def evolution_circuit(n: int, t: float, mode: str = "approx", prep: Circuit | None = None) -> Circuit:
@@ -142,11 +131,6 @@ class SweepRow:
     epsilon: float
     epsilon_model: float
     bound: float
-
-    FIELDS = ("n", "N", "t", "p", "epsilon", "epsilon_model", "bound")
-
-    def astuple(self):
-        return (self.n, self.N, self.t, self.p, self.epsilon, self.epsilon_model, self.bound)
 
 
 def sweep_point(n: int, t: float, p: float) -> SweepRow:

@@ -16,16 +16,16 @@ Noisy runs follow every two-qubit gate with a two-qubit depolarizing channel
 
 over the 15 non-identity two-qubit Paulis; single-qubit gates are noiseless.
 
-One gate kernel, `_apply_gate_array`, serves the statevector, the unitary and
-state prep: a diagonal gate (RZ, RZZ, CPHASE, DIAG) multiplies the amplitudes
-by its phases, a dense one (H, PHASEDX, a state-prep block) is one matmul over
-its consecutive target axes.  On a density matrix a dense gate is that kernel
-on the row axes with U and on the column axes with conj(U), in place: it
-overwrites rho slab by slab, 1 MiB at a time.  A diagonal gate is one in-place
-pass: the rows whose target bits agree share one phase, so each such row class
-is multiplied by one contiguous column-phase vector.  Every two-qubit gate is
-diagonal, and D on (a, b) leaves Tr_ab rho unchanged, so its channel folds
-into the same pass:
+One gate kernel, `_apply_gate_array`, serves the statevector: a diagonal gate
+(RZ, RZZ, CPHASE, DIAG) multiplies the amplitudes by its phases, a dense one
+(H, PHASEDX) is one matmul over its consecutive target axes, in
+`_apply_dense`, which state prep calls directly for its 4x4 blocks.  On a
+density matrix a dense gate is that kernel on the row axes with U and on the
+column axes with conj(U), in place: it overwrites rho slab by slab, 1 MiB at a
+time.  A diagonal gate is one in-place pass: the rows whose target bits agree
+share one phase, so each such row class is multiplied by one contiguous
+column-phase vector.  Every two-qubit gate is diagonal, and D on (a, b) leaves
+Tr_ab rho unchanged, so its channel folds into the same pass:
 
     E(D rho D^dag) = (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab,  w = 16p/15,
 
@@ -312,10 +312,6 @@ class Circuit:
             inv._set_permutation(_invert_permutation(perm))
         return inv
 
-    def unitary(self) -> np.ndarray:
-        """Dense matrix of the circuit (including relabeling and global phase)."""
-        return _run_circuit(np.eye(2 ** self.num_qubits, dtype=complex), self)
-
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -528,7 +524,6 @@ def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int)
     if shots < 1:
         raise ValueError("shots must be a positive integer")
     probs = state.probabilities()
-    probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not 0.999 < total < 1.001:
         raise ValueError("state probabilities do not sum to one")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -119,13 +119,9 @@ class BrickwallAnsatz:
         return np.arange(len(self.blocks))[:, None, None] * size + np.array(per_block)
 
 
-def default_depth(num_qubits: int) -> int:
-    return int(math.log2(num_qubits)) + 1
-
-
 def build_ansatz(num_qubits: int, depth: int | None = None) -> BrickwallAnsatz:
     """Brickwall ansatz at the default depth floor(log2(num_qubits)) + 1."""
-    return BrickwallAnsatz(num_qubits, default_depth(num_qubits) if depth is None else depth)
+    return BrickwallAnsatz(num_qubits, int(math.log2(num_qubits)) + 1 if depth is None else depth)
 
 
 _Z_DIAG = np.array([1.0, -1.0])
@@ -270,13 +266,6 @@ def _check_target(ansatz: BrickwallAnsatz, target: StateVector) -> None:
         raise ValueError("target state must be normalized")
 
 
-def cost(ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector) -> float:
-    """C(theta) = 1 - Re <target|U(theta)|0...0> (global phase is penalized)."""
-    _check_target(ansatz, target)
-    overlap = np.vdot(target.amplitudes, prepare_state(ansatz, theta).amplitudes)
-    return float(1.0 - overlap.real)
-
-
 def infidelity(ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector) -> float:
     """1 - |<target|U(theta)|0...0>|^2 (phase-insensitive quality of the prep)."""
     _check_target(ansatz, target)
@@ -346,6 +335,12 @@ class TrainingResult:
 
 
 _ITERATION_LIMIT = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+_RELATIVE_REDUCTION = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+
+
+def _within_tolerance(old: float, new: float) -> bool:
+    """L-BFGS-B's relative-reduction rule, |old - new| / max(|old|, |new|, 1) <= 1e-12, either way."""
+    return abs(old - new) <= 1e-12 * max(abs(old), abs(new), 1.0)
 
 
 def _lbfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, int, str]:
@@ -356,8 +351,11 @@ def _lbfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, in
     unit steps after it, its stop rules (max|g| <= 1e-12, relative reduction of
     f <= 1e-12) and its messages.  Armijo backtracking (c1 = 1e-4) halves the
     step at most 20 times; a failed search clears the memory and retries along
-    -g, and fails for good on an empty memory.  A pair is skipped unless
-    s.y > eps y.y.  `callback(value)` sees each accepted value.
+    -g, and fails for good on an empty memory.  A failed search whose every
+    trial changed f within the relative-reduction tolerance has met that rule
+    instead: like L-BFGS-B, whose search gives up on rounding there, it stops
+    at the current iterate.  A pair is skipped unless s.y > eps y.y.
+    `callback(value)` sees each accepted value.
     """
     value, grad = fun(x)
     if np.max(np.abs(grad)) <= 1e-12:
@@ -375,14 +373,17 @@ def _lbfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, in
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
             direction = direction + (alpha - rho * (y @ direction)) * s
         step = 1.0 / np.linalg.norm(grad) if iterations == 0 else 1.0
-        slope = grad @ direction
+        slope, flat = grad @ direction, True
         for _ in range(20):
             new_x = x + step * direction
             new_value, new_grad = fun(new_x)
             if new_value <= value + 1e-4 * step * slope:
                 break
+            flat = flat and _within_tolerance(value, new_value)
             step /= 2.0
         else:
+            if flat:
+                return x, iterations, _RELATIVE_REDUCTION
             if not pairs:
                 return x, iterations, "ABNORMAL: "
             pairs.clear()
@@ -397,8 +398,8 @@ def _lbfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, in
             return x, iterations, _ITERATION_LIMIT
         if np.max(np.abs(grad)) <= 1e-12:
             return x, iterations, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
-        if old_value - value <= 1e-12 * max(abs(old_value), abs(value), 1.0):
-            return x, iterations, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+        if _within_tolerance(old_value, value):
+            return x, iterations, _RELATIVE_REDUCTION
 
 
 def optimize(
@@ -468,14 +469,7 @@ class Checkpoint:
         return BrickwallAnsatz(self.n + 1, self.depth)
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "n": self.n,
-            "depth": self.depth,
-            "seed": self.seed,
-            "params": list(self.params),
-            "infidelity": self.infidelity,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":

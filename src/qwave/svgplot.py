@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 _PALETTE = ("#1f6fb2", "#e07b39", "#3d9970", "#b23b3b", "#7d5ba6", "#666666")
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 64.0, 16.0, 28.0, 44.0
 
 
@@ -100,8 +101,6 @@ def line_chart(
     ylabel: str = "",
     logx: bool = False,
     logy: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
     """Write a standalone SVG with one polyline per series."""
     if not series or all(len(s.xs) == 0 for s in series):
@@ -114,15 +113,15 @@ def line_chart(
             ys_all += [y + e for y, e in zip(s.ys, s.errs)]
     x_lo, x_hi = _data_range(xs_all, logx)
     y_lo, y_hi = _data_range(ys_all, logy)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     x_axis = _Axis(x_lo, x_hi, logx, plot_w, _MARGIN_LEFT, ticks=_ticks(x_lo, x_hi, logx))
     y_axis = _Axis(y_lo, y_hi, logy, plot_h, _MARGIN_TOP, flip=True, ticks=_ticks(y_lo, y_hi, logy))
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     bottom, left = _MARGIN_TOP + plot_h, _MARGIN_LEFT
     for tick in x_axis.ticks:
@@ -138,9 +137,9 @@ def line_chart(
         f'fill="none" stroke="#333333"/>'
     )
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>')
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>')
     if xlabel:
-        out.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 8:.1f}" text-anchor="middle">{xlabel}</text>')
+        out.append(f'<text x="{left + plot_w / 2:.1f}" y="{_HEIGHT - 8:.1f}" text-anchor="middle">{xlabel}</text>')
     if ylabel:
         out.append(
             f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '

@@ -8,6 +8,11 @@ error, and the per-outcome statistics of a shot histogram.
 `smallangle_evolve` is the spectral route with the linearized frequencies
 2 pi k, the FFT evolution of `exact_evolve` with other phases.
 
+`unitary` is a circuit's dense matrix: the library's own gate loop run on the
+identity, so the circuit tests read every gate, relabeling and phase at once.
+`cost` is the prep cost 1 - Re <target|U(theta)|0...0> from `prepare_state`,
+the value the exact gradient's cost must equal.
+
 `stacked_blocks` and `stacked_cost_and_gradient` are the brickwall builder
 and adjoint gradient in their earlier form: four `_euler` calls built from
 nested `np.stack`s, five separate partial products joined by
@@ -28,15 +33,17 @@ import math
 import numpy as np
 
 from qwave.sim import (
+    Circuit,
     DensityMatrix,
     StateVector,
     _apply_gate_array,
     _basis_wires,
     _insert_wire,
     _permutation_source,
+    _run_circuit,
 )
 from qwave.spectral import _evolve, wavenumbers
-from qwave.stateprep import BLOCK_PARAMS, BrickwallAnsatz
+from qwave.stateprep import BLOCK_PARAMS, BrickwallAnsatz, _check_target, prepare_state
 
 
 def laplacian_matrix(N: int) -> np.ndarray:
@@ -58,6 +65,18 @@ def smallangle_diagonal_values(n: int, t: float) -> np.ndarray:
         np.exp(-2j * np.pi * k * t),   # z0 = +1 sector (qubit 0 = |0>)
         np.exp(+2j * np.pi * k * t),   # z0 = -1 sector
     ])
+
+
+def unitary(circuit: Circuit) -> np.ndarray:
+    """Dense matrix of the circuit (including relabeling and global phase)."""
+    return _run_circuit(np.eye(2 ** circuit.num_qubits, dtype=complex), circuit)
+
+
+def cost(ansatz: BrickwallAnsatz, theta: np.ndarray, target: StateVector) -> float:
+    """C(theta) = 1 - Re <target|U(theta)|0...0> (global phase is penalized)."""
+    _check_target(ansatz, target)
+    overlap = np.vdot(target.amplitudes, prepare_state(ansatz, theta).amplitudes)
+    return float(1.0 - overlap.real)
 
 
 def purity(rho) -> float:

@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 
-from oracles import laplacian_matrix, mc_errors, shots_required, smallangle_diagonal_values
+from oracles import laplacian_matrix, mc_errors, shots_required, smallangle_diagonal_values, unitary
 from qwave import pipeline
 from qwave.circuits import EvolutionSpec, assemble_evolution, build_approx_diagonal, build_qft
 from qwave.compile import quadratic_fit
 from qwave.sim import sample_bitstrings
 from qwave.spectral import dft_matrix, wavenumbers
-from qwave.stateprep import GridSpec, OptimizerConfig, build_ansatz, optimize, ricker_target
+from qwave.stateprep import GridSpec, OptimizerConfig, ansatz_to_circuit, build_ansatz, optimize, ricker_target
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -44,12 +44,12 @@ def test_acceptance_02_diagonal_product_and_qft():
     worst_diag = 0.0
     for n in range(2, 6):
         for t in rng.uniform(0.0, 2.0, 3):
-            u = build_approx_diagonal(n, float(t)).unitary()
+            u = unitary(build_approx_diagonal(n, float(t)))
             target = np.diag(smallangle_diagonal_values(n, float(t)))
             worst_diag = max(worst_diag, float(np.max(np.abs(u - target))))
     worst_qft = 0.0
     for n in range(1, 7):
-        worst_qft = max(worst_qft, float(np.max(np.abs(build_qft(n).unitary() - dft_matrix(2 ** n)))))
+        worst_qft = max(worst_qft, float(np.max(np.abs(unitary(build_qft(n)) - dft_matrix(2 ** n)))))
     ok = worst_diag < 1e-10 and worst_qft < 1e-10
     _report(2, ok, f"factored diagonal (err {worst_diag:.2e}) and QFT vs DFT (err {worst_qft:.2e}) < 1e-10")
 
@@ -59,7 +59,7 @@ def test_acceptance_03_unit_time_periodicity():
     for n in range(2, 9):
         circ = assemble_evolution(None, EvolutionSpec(n, 1.0, mode="approx"))
         dim = 2 ** (n + 1)
-        worst = max(worst, float(np.max(np.abs(circ.unitary() - np.eye(dim)))))
+        worst = max(worst, float(np.max(np.abs(unitary(circ) - np.eye(dim)))))
     _report(3, worst < 1e-10, f"small-angle evolution at t=1 is the identity for n=2..8, max error {worst:.2e} < 1e-10")
 
 
@@ -128,9 +128,10 @@ def test_acceptance_08_shot_noise_statistics():
 
 def test_acceptance_09_gate_counts_grow_quadratically():
     ns = list(range(4, 11))
+    preps = [build_ansatz(n + 1) for n in ns]
     rows = [
-        pipeline.gate_count_row(n, 1.0, prep=pipeline.prep_circuit_like(build_ansatz(n + 1)))
-        for n in ns
+        pipeline.gate_count_row(n, 1.0, prep=ansatz_to_circuit(a, np.zeros(a.num_params)))
+        for n, a in zip(ns, preps)
     ]
     _, r2 = quadratic_fit(ns, [r["two_qubit_evolution"] for r in rows])
     n6 = next(r for r in rows if r["n"] == 6)["two_qubit_with_prep"]

@@ -325,13 +325,33 @@ def test_evolve_rejects_a_list_of_noise_levels(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
-@pytest.mark.parametrize("args", [["evolve", "--n", "3", "--p=-0.5"], ["evolve", "--n", "3", "--p", "1.5"],
-                                  ["sweep", "--axis", "p", "--n-range", "2:3", "--p=-1e-3,1e-3"]])
-def test_noise_levels_outside_the_unit_interval_are_refused(tmp_path, capsys, args):
+_OUT_OF_RANGE = "depolarizing levels must lie in [0, 1]"
+_REFUSED = [
     # a negative p used to run noiselessly under its own label
+    (["evolve", "--n", "3", "--p=-0.5"], _OUT_OF_RANGE),
+    (["evolve", "--n", "3", "--p", "1.5"], _OUT_OF_RANGE),
+    (["sweep", "--axis", "p", "--n-range", "2:3", "--p=-1e-3,1e-3"], _OUT_OF_RANGE),
+    (["evolve", "--n", "1"], "evolution circuits need n >= 2 spatial qubits"),
+    (["sweep", "--axis", "N", "--n-range", "1:3"], "evolution circuits need n >= 2 spatial qubits"),
+    (["sweep", "--axis", "p", "--n-range", "1:3", "--p", "1e-3"], "evolution circuits need n >= 2 spatial qubits"),
+    (["sweep", "--axis", "t", "--n", "1"], "evolution circuits need n >= 2 spatial qubits"),
+    (["train", "--n", "0"], "grid needs at least one qubit"),
+    (["train", "--n", "2", "--iters", "0"], "max_iters must be at least 1"),
+    (["train", "--n", "2", "--depth", "0"], "ansatz depth must be positive"),
+    (["evolve", "--t", "-1"], "evolution time must be non-negative"),
+    (["evolve", "--n", "3", "--prep", "missing.json"], "No such file or directory"),
+    (["sweep", "--axis", "shots", "--n", "3", "--shots-list", "0,10"], "shots must be a positive integer"),
+]
+
+
+# ids keep the names of the first three cases, which were once the only ones
+@pytest.mark.parametrize("args, message", _REFUSED, ids=[f"args{i}" for i in range(len(_REFUSED))])
+def test_noise_levels_outside_the_unit_interval_are_refused(tmp_path, capsys, monkeypatch, args, message):
+    # every refused run exits 1 before it creates its output directory
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "run"
     assert cli.main([*args, "--out", str(out)]) == 1
-    assert "depolarizing levels must lie in [0, 1]" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

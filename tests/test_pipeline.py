@@ -6,6 +6,7 @@ vs FFT algebra), so their agreement is the strongest oracle here.
 """
 
 import tracemalloc
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -205,8 +206,8 @@ def test_sweep_point_rows():
     assert (row.n, row.N, row.t, row.p) == (4, 16, 1.0, 0.0)
     assert row.epsilon == pytest.approx(row.epsilon_model, abs=1e-12)
     assert row.epsilon <= row.bound
-    assert row.astuple() == (4, 16, 1.0, 0.0, row.epsilon, row.epsilon_model, row.bound)
-    assert pipeline.SweepRow.FIELDS == ("n", "N", "t", "p", "epsilon", "epsilon_model", "bound")
+    assert astuple(row) == (4, 16, 1.0, 0.0, row.epsilon, row.epsilon_model, row.bound)
+    assert tuple(f.name for f in fields(row)) == ("n", "N", "t", "p", "epsilon", "epsilon_model", "bound")
     noisy = pipeline.sweep_point(4, 1.0, 1e-3)
     assert noisy.epsilon > row.epsilon
 
@@ -233,9 +234,10 @@ def test_wavefield_probabilities_extracts_first_sector():
 
 def test_gate_count_table():
     ns = range(4, 11)
+    preps = [build_ansatz(n + 1) for n in ns]
     rows = [
-        pipeline.gate_count_row(n, 1.0, prep=pipeline.prep_circuit_like(build_ansatz(n + 1)))
-        for n in ns
+        pipeline.gate_count_row(n, 1.0, prep=ansatz_to_circuit(a, np.zeros(a.num_params)))
+        for n, a in zip(ns, preps)
     ]
     assert [r["two_qubit_evolution"] for r in rows] == [n * n for n in ns]
     assert [r["two_qubit_with_prep"] for r in rows] == [34, 49, 63, 91, 112, 135, 160]

@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import stacked_blocks, stacked_cost_and_gradient
+from oracles import cost, stacked_blocks, stacked_cost_and_gradient
 from scipy.linalg import expm
 from scipy.optimize import minimize, rosen, rosen_der
 
@@ -37,9 +37,7 @@ from qwave.stateprep import (
     _validated_theta,
     ansatz_to_circuit,
     build_ansatz,
-    cost,
     cost_and_gradient,
-    default_depth,
     infidelity,
     optimize,
     prepare_state,
@@ -197,10 +195,10 @@ def test_brickwall_layout():
     assert BrickwallAnsatz(3, 2).blocks == ((0, 1), (1, 2))
     assert BrickwallAnsatz(5, 3).blocks == ((0, 1), (2, 3), (1, 2), (3, 4), (0, 1), (2, 3))
     assert BrickwallAnsatz(7, 3).num_params == 9 * BLOCK_PARAMS
-    assert default_depth(3) == 2
-    assert default_depth(4) == 3
-    assert default_depth(7) == 3
-    assert default_depth(8) == 4
+    assert build_ansatz(3).depth == 2
+    assert build_ansatz(4).depth == 3
+    assert build_ansatz(7).depth == 3
+    assert build_ansatz(8).depth == 4
     assert build_ansatz(7).depth == 3
     with pytest.raises(ValueError):
         BrickwallAnsatz(1, 1)
@@ -484,10 +482,12 @@ def _quadratic(a: np.ndarray, b: np.ndarray):
     return lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)
 
 
+# the L-BFGS-B settings training used before it had its own L-BFGS
+_LBFGSB_OPTIONS = {"maxiter": 5000, "maxcor": 10, "ftol": 1e-12, "gtol": 1e-12}
+
+
 def _scipy_minimizer(fun, x0: np.ndarray) -> np.ndarray:
-    """L-BFGS-B with the settings training used before it had its own L-BFGS."""
-    options = {"maxiter": 5000, "maxcor": 10, "ftol": 1e-12, "gtol": 1e-12}
-    return minimize(fun, x0, jac=True, method="L-BFGS-B", options=options).x
+    return minimize(fun, x0, jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS).x
 
 
 _SPD = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 0.7]])
@@ -509,6 +509,9 @@ def test_lbfgs_reaches_the_scipy_minimizer(fun, x0):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+# at the optimum already, 1 ULP below f(A^-1 b), with every later trial 0-8 ULPs above it
+@example(dim=2, budget=1, seed=97072774)
+@example(dim=2, budget=1, seed=2610708130)
 def test_lbfgs_on_random_spd_quadratics(dim, budget, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -529,6 +532,15 @@ def test_lbfgs_on_random_spd_quadratics(dim, budget, seed):
     if iterations >= budget:  # the budget binds: the same path, cut at it
         assert (limited_iterations, limited_message) == (budget, _ITERATION_LIMIT)
         assert limited == values[: budget + 1]
+
+
+def test_lbfgs_stops_abnormally_on_a_gradient_of_the_wrong_sign():
+    # every trial along -g climbs far beyond the relative-reduction tolerance
+    fun, x0 = (lambda x: (x @ x, -2.0 * x)), np.array([1.0, -2.0, 0.5])
+    _, iterations, message = _lbfgs(fun, x0, 5000, lambda value: None)
+    assert (iterations, message) == (0, "ABNORMAL: ")
+    scipy_result = minimize(fun, x0, jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
+    assert scipy_result.nit == 0 and scipy_result.message.startswith("ABNORMAL")
 
 
 # ------------------------------------------------------------------- checkpoint
