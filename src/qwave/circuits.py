@@ -44,10 +44,8 @@ class EvolutionSpec:
             raise ValueError("evolution circuits need n >= 2 spatial qubits")
         if self.t < 0:
             raise ValueError("evolution time must be non-negative")
-        mode = "approx" if self.mode == "small-angle" else self.mode
-        if mode not in ("exact", "approx"):
+        if self.mode not in ("exact", "approx"):
             raise ValueError(f"mode must be 'exact' or 'approx', got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
 
 
 def build_qft(n: int) -> Circuit:

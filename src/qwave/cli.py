@@ -92,8 +92,8 @@ class RunConfig:
     )
     dt: float = _option(0.01, float, "time step of a t sweep", ("sweep",), axes=("t",))
     mode: str = _option(
-        "approx", str, "diagonal flavor (small-angle is approx)", ("evolve", "sweep"),
-        choices=("exact", "approx", "small-angle"), axes=("shots",),
+        "approx", str, "diagonal flavor (approx is the small-angle circuit)", ("evolve", "sweep"),
+        choices=("exact", "approx"), axes=("shots",),
     )
     p: tuple[float, ...] = _option(
         (), _parse_floats, "depolarizing levels", ("evolve", "sweep"), metavar="P[,P...]", axes=_POINT_AXES

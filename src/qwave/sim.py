@@ -220,7 +220,7 @@ def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False
     matmul = rest >= 16 or (rest >= 4 and lead <= 64)
     if not matmul:
         # Short rows: matmul loops over `lead` tiny products (~0.5 us each), and below rest = 4
-        # it leaves BLAS gemm and rounds differently, which moves the L-BFGS path of state-prep
+        # it leaves BLAS gemm and rounds differently, which moves the BFGS path of state-prep
         # training.  One gemm with (u x I_rest)^T is faster and rounds like the rest.
         wide = u.T
         if rest > 1:

@@ -8,7 +8,7 @@ trained to prepare that state from |0...0> by minimizing
 
     C(theta) = 1 - Re <target| U(theta) |0...0>
 
-with L-BFGS on exact gradients: each partial is -Re Tr(dU_i/dtheta_j M_i),
+with BFGS on exact gradients: each partial is -Re Tr(dU_i/dtheta_j M_i),
 with M_i the block's 4x4 cross matrix from one forward and one backward sweep
 (the adjoint method) and dU_i/dtheta_j formed by inserting the angle's
 generator.  Each block carries 15 angles: a ZYZ rotation per wire, an
@@ -20,14 +20,13 @@ built in one batched pass: one `_euler` call makes the four one-wire factors
 of every block, the Kronecker products and partial products fill slices of
 preallocated arrays, and one gather and one batched matmul form every cross
 matrix.  Each product keeps the operands of a block-at-a-time build, so the
-gradients are bit-identical to it; the L-BFGS path moves with their last bits.
+gradients are bit-identical to it; the BFGS path moves with their last bits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -330,7 +329,7 @@ class TrainingResult:
     iterations: int
     converged: bool
     seed: int
-    message: str = ""  # why L-BFGS stopped, in L-BFGS-B's words
+    message: str = ""  # why BFGS stopped, in L-BFGS-B's words
     grad_norm: float = math.nan  # |gradient| at the best evaluation
 
 
@@ -343,35 +342,37 @@ def _within_tolerance(old: float, new: float) -> bool:
     return abs(old - new) <= 1e-12 * max(abs(old), abs(new), 1.0)
 
 
-def _lbfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, int, str]:
-    """Minimize fun(x) -> (value, gradient) by L-BFGS; returns the last iterate, iterations and stop message.
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+    """In place, H <- H - r (s Hy^T + Hy s^T) + (r^2 y.Hy + r) s s^T with r = 1/s.y (Nocedal & Wright eq. 6.17).
 
-    The textbook method (Liu & Nocedal 1989; Nocedal & Wright alg. 7.4) with
-    L-BFGS-B's memory of 10 pairs, H0 = (s.y / y.y) I, first step 1/|g| and
-    unit steps after it, its stop rules (max|g| <= 1e-12, relative reduction of
-    f <= 1e-12) and its messages.  Armijo backtracking (c1 = 1e-4) halves the
-    step at most 20 times; a failed search clears the memory and retries along
-    -g, and fails for good on an empty memory.  A failed search whose every
-    trial changed f within the relative-reduction tolerance has met that rule
-    instead: like L-BFGS-B, whose search gives up on rounding there, it stops
-    at the current iterate.  A pair is skipped unless s.y > eps y.y.
-    `callback(value)` sees each accepted value.
+    That is H + s v^T + v s^T with v = (r^2 y.Hy + r)/2 s - r Hy: one outer product is the only temporary.
+    """
+    r, hy = 1.0 / (s @ y), h @ y
+    rank_one = np.multiply.outer(s, (0.5 * r * (r * (y @ hy) + 1.0)) * s - r * hy)
+    h += rank_one
+    h += rank_one.T
+
+
+def _bfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, int, str]:
+    """Minimize fun(x) -> (value, gradient) by BFGS; returns the last iterate, iterations and stop message.
+
+    Dense BFGS (Nocedal & Wright alg. 6.1) with H0 = (s.y / y.y) I at the
+    first accepted pair, first step 1/|g| then unit steps, and L-BFGS-B's stop
+    rules (max|g| <= 1e-12, relative reduction of f <= 1e-12) and messages.
+    Armijo backtracking (c1 = 1e-4) halves the step at most 20 times.  A
+    failed search whose every trial changed f within the relative-reduction
+    tolerance has met that rule (L-BFGS-B's search gives up on rounding there
+    too); any other clears H and retries along -g, and fails for good on an
+    empty H.  A pair is skipped unless s.y > eps y.y.  `callback(value)` sees
+    each accepted value.
     """
     value, grad = fun(x)
     if np.max(np.abs(grad)) <= 1e-12:
         return x, 0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
-    pairs: deque = deque(maxlen=10)  # (s, y, 1 / s.y), oldest first
+    h = None  # the inverse Hessian, from the first accepted pair on
     iterations = 0
     while True:
-        direction, alphas = -grad, []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ direction))
-            direction = direction - alphas[-1] * y
-        if pairs:
-            s, y, rho = pairs[-1]
-            direction = direction / (rho * (y @ y))
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            direction = direction + (alpha - rho * (y @ direction)) * s
+        direction = -grad if h is None else -(h @ grad)
         step = 1.0 / np.linalg.norm(grad) if iterations == 0 else 1.0
         slope, flat = grad @ direction, True
         for _ in range(20):
@@ -384,13 +385,14 @@ def _lbfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, in
         else:
             if flat:
                 return x, iterations, _RELATIVE_REDUCTION
-            if not pairs:
+            if h is None:
                 return x, iterations, "ABNORMAL: "
-            pairs.clear()
+            h = None
             continue
         s, y = new_x - x, new_grad - grad
         if s @ y > np.finfo(float).eps * (y @ y):
-            pairs.append((s, y, 1.0 / (s @ y)))
+            h = np.eye(len(x)) * ((s @ y) / (y @ y)) if h is None else h
+            _bfgs_update(h, s, y)
         old_value, x, value, grad = value, new_x, new_value, new_grad
         iterations += 1
         callback(value)
@@ -407,7 +409,7 @@ def optimize(
     target: StateVector,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> TrainingResult:
-    """L-BFGS minimization of the prep cost from uniform-[0,1) initial angles.
+    """BFGS minimization of the prep cost from uniform-[0,1) initial angles.
 
     Deterministic given config; tracks the best angles over all evaluations
     and records a monotone best-cost-per-iteration history.
@@ -429,7 +431,7 @@ def optimize(
             history.append(value)
         return value, grad
 
-    _, iterations, message = _lbfgs(
+    _, iterations, message = _bfgs(
         objective, theta_init, config.max_iters, lambda value: history.append(best["cost"])
     )
     return TrainingResult(

@@ -18,7 +18,7 @@ and adjoint gradient in their earlier form: four `_euler` calls built from
 nested `np.stack`s, five separate partial products joined by
 `np.concatenate`, and one cross-matrix gemm per block.  They make the same
 products on the same operands as `qwave.stateprep`, so the library must match
-them bit for bit (the L-BFGS path of training moves with the last bits).
+them bit for bit (the BFGS path of training moves with the last bits).
 
 `out_of_place_noisy` is the noisy density-matrix loop in its earlier form:
 each dense gate writes a new rho from the whole-array kernel, and the

@@ -40,13 +40,14 @@ def _full_state(psi: np.ndarray, phi: np.ndarray) -> StateVector:
 
 def test_evolution_spec_normalizes_mode_names():
     assert EvolutionSpec(3, 0.5).mode == "approx"
-    assert EvolutionSpec(3, 0.5, mode="small-angle").mode == "approx"
+    with pytest.raises(ValueError):  # approx is the small-angle circuit; it has no alias
+        EvolutionSpec(3, 0.5, mode="small-angle")
     assert EvolutionSpec(3, 0.5, mode="exact").mode == "exact"
     with pytest.raises(ValueError):
         EvolutionSpec(1, 0.5)
     with pytest.raises(ValueError):
         EvolutionSpec(3, -0.1)
-    for mode in ("bogus", "small_angle"):  # the CLI's spelling is small-angle
+    for mode in ("bogus", "small_angle"):
         with pytest.raises(ValueError):
             EvolutionSpec(3, 0.5, mode=mode)
 

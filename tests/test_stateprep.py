@@ -6,16 +6,17 @@ gradient, full-state finite differences and a directional derivative that
 builds each block partial from dense np.kron products and prices it with a
 full-state sweep (`block_unitary_partial`, `cost_directional_derivative`).
 The batched block builder and sweeps are also held bit for bit to the stacked
-form in `oracles` (same products, other containers), because the L-BFGS path
-of training moves with the last bits of the gradient.  The L-BFGS helper is
-held to scipy's L-BFGS-B minimizer and to A^-1 b on SPD quadratics.
+form in `oracles` (same products, other containers), because the BFGS path
+of training moves with the last bits of the gradient.  The BFGS helper is
+held to scipy's L-BFGS-B minimizer and to A^-1 b on SPD quadratics, and its
+update to the secant equation on random SPD matrices.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import cost, stacked_blocks, stacked_cost_and_gradient
 from scipy.linalg import expm
@@ -33,7 +34,8 @@ from qwave.stateprep import (
     _blocks,
     _check_target,
     _forward_states,
-    _lbfgs,
+    _bfgs,
+    _bfgs_update,
     _validated_theta,
     ansatz_to_circuit,
     build_ansatz,
@@ -424,7 +426,7 @@ def test_optimizer_reports_the_gradient_norm_at_the_best_point():
 
 
 def test_optimizer_prices_the_start_point_once(monkeypatch):
-    # the history's first entry comes from L-BFGS-B's own first call, not a pre-call
+    # the history's first entry comes from the optimizer's own first call, not a pre-call
     import qwave.stateprep as stateprep
 
     points = []
@@ -474,7 +476,7 @@ def test_optimizer_raises_when_the_cost_turns_nan_in_a_line_search(monkeypatch):
     assert len(calls) == 5
 
 
-# ---------------------------------------------------- L-BFGS against L-BFGS-B
+# ------------------------------------------------------ BFGS against L-BFGS-B
 
 
 def _quadratic(a: np.ndarray, b: np.ndarray):
@@ -482,7 +484,7 @@ def _quadratic(a: np.ndarray, b: np.ndarray):
     return lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b)
 
 
-# the L-BFGS-B settings training used before it had its own L-BFGS
+# the L-BFGS-B settings training used before it had its own optimizer
 _LBFGSB_OPTIONS = {"maxiter": 5000, "maxcor": 10, "ftol": 1e-12, "gtol": 1e-12}
 
 
@@ -501,8 +503,8 @@ _SPD = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 0.7]])
     ],
     ids=["rosenbrock-6d", "spd-quadratic"],
 )
-def test_lbfgs_reaches_the_scipy_minimizer(fun, x0):
-    x, iterations, message = _lbfgs(fun, x0, 5000, lambda value: None)
+def test_bfgs_reaches_the_scipy_minimizer(fun, x0):
+    x, iterations, message = _bfgs(fun, x0, 5000, lambda value: None)
     assert message.startswith("CONVERGENCE") and 0 < iterations < 5000
     assert np.max(np.abs(x - _scipy_minimizer(fun, x0))) <= 1e-6
 
@@ -512,14 +514,17 @@ def test_lbfgs_reaches_the_scipy_minimizer(fun, x0):
 # at the optimum already, 1 ULP below f(A^-1 b), with every later trial 0-8 ULPs above it
 @example(dim=2, budget=1, seed=97072774)
 @example(dim=2, budget=1, seed=2610708130)
-def test_lbfgs_on_random_spd_quadratics(dim, budget, seed):
+# a 10-pair L-BFGS stopped by relative reduction 2.36e-10 and 1.59e-8 above f(A^-1 b)
+@example(dim=7, budget=5, seed=2089940663)
+@example(dim=6, budget=1, seed=575480498)
+def test_bfgs_on_random_spd_quadratics(dim, budget, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     a = q @ np.diag(10.0 ** rng.uniform(-1.0, 1.0, dim)) @ q.T  # condition number below 100
     b, x0 = rng.standard_normal(dim), rng.standard_normal(dim)
     fun = _quadratic(a, b)
     values = [fun(x0)[0]]
-    _, iterations, message = _lbfgs(fun, x0, 1000, values.append)
+    _, iterations, message = _bfgs(fun, x0, 1000, values.append)
     assert message.startswith("CONVERGENCE")
     # f(x) - f(A^-1 b) is half the squared A-norm distance to A^-1 b; the
     # relative-reduction stop (1e-12, as in L-BFGS-B) leaves it near 1e-11
@@ -527,20 +532,38 @@ def test_lbfgs_on_random_spd_quadratics(dim, budget, seed):
     assert values[-1] - optimum <= 1e-10 * max(1.0, abs(optimum))
     assert np.all(np.diff(values) <= 0.0)
     limited = [values[0]]
-    _, limited_iterations, limited_message = _lbfgs(fun, x0, budget, limited.append)
+    _, limited_iterations, limited_message = _bfgs(fun, x0, budget, limited.append)
     assert limited_iterations <= budget + 1
     if iterations >= budget:  # the budget binds: the same path, cut at it
         assert (limited_iterations, limited_message) == (budget, _ITERATION_LIMIT)
         assert limited == values[: budget + 1]
 
 
-def test_lbfgs_stops_abnormally_on_a_gradient_of_the_wrong_sign():
+def test_bfgs_stops_abnormally_on_a_gradient_of_the_wrong_sign():
     # every trial along -g climbs far beyond the relative-reduction tolerance
     fun, x0 = (lambda x: (x @ x, -2.0 * x)), np.array([1.0, -2.0, 0.5])
-    _, iterations, message = _lbfgs(fun, x0, 5000, lambda value: None)
+    _, iterations, message = _bfgs(fun, x0, 5000, lambda value: None)
     assert (iterations, message) == (0, "ABNORMAL: ")
     scipy_result = minimize(fun, x0, jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
     assert scipy_result.nit == 0 and scipy_result.message.startswith("ABNORMAL")
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_bfgs_update_keeps_h_symmetric_positive_definite_and_meets_the_secant_equation(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    h = q @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, dim)) @ q.T
+    h = (h + h.T) / 2.0
+    s, y = rng.standard_normal(dim), rng.standard_normal(dim)
+    if s @ y < 0.0:
+        y = -y
+    assume(s @ y > 1e-3 * np.linalg.norm(s) * np.linalg.norm(y))
+    _bfgs_update(h, s, y)
+    scale = np.max(np.abs(h))
+    assert np.max(np.abs(h - h.T)) <= 1e-12 * scale
+    assert np.linalg.norm(h @ y - s) <= 1e-9 * (np.linalg.norm(s) + scale * np.linalg.norm(y))
+    assert np.min(np.linalg.eigvalsh((h + h.T) / 2.0)) > 0.0
 
 
 # ------------------------------------------------------------------- checkpoint
