@@ -203,6 +203,7 @@ def cmd_train(config: RunConfig) -> int:
     """Train the prep for the Ricker target at n, write prep_n{n}.json."""
     target = pipeline.ricker_state(config.n)
     ansatz = build_ansatz(config.n + 1, config.depth)
+    pipeline.check_training_memory(ansatz.num_params, min(config.workers, config.restarts))
     seeds = range(config.seed, config.seed + config.restarts)
     runs = [(ansatz, target, OptimizerConfig(max_iters=config.iters, seed=s)) for s in seeds]
     out = _out_dir(config)

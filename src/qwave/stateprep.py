@@ -345,12 +345,15 @@ def _within_tolerance(old: float, new: float) -> bool:
 def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     """In place, H <- H - r (s Hy^T + Hy s^T) + (r^2 y.Hy + r) s s^T with r = 1/s.y (Nocedal & Wright eq. 6.17).
 
-    That is H + s v^T + v s^T with v = (r^2 y.Hy + r)/2 s - r Hy: one outer product is the only temporary.
+    That is H + s v^T + v s^T with v = (r^2 y.Hy + r)/2 s - r Hy, added a band of rows at a time: the
+    temporaries stay near 2^15 entries at any size of H, and no pass reads an array transposed.
     """
     r, hy = 1.0 / (s @ y), h @ y
-    rank_one = np.multiply.outer(s, (0.5 * r * (r * (y @ hy) + 1.0)) * s - r * hy)
-    h += rank_one
-    h += rank_one.T
+    v = (0.5 * r * (r * (y @ hy) + 1.0)) * s - r * hy
+    rows = max(1, 2 ** 15 // len(s))
+    for band in (slice(i, i + rows) for i in range(0, len(s), rows)):
+        h[band] += s[band, None] * v
+        h[band] += v[band, None] * s
 
 
 def _bfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, int, str]:

@@ -465,6 +465,28 @@ def test_sweep_prices_every_point_its_workers_hold_at_once(tmp_path, capsys, mon
     assert maps == [1]
 
 
+
+def test_train_refuses_a_large_depth_before_it_creates_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 2 ** 30)
+    monkeypatch.setattr(cli, "_map", lambda fn, calls, workers: pytest.fail("trained"))
+    out = tmp_path / "run"
+    # n = 5 at depth 400: 1,000 blocks of 15 angles, an inverse Hessian of 15,000^2 doubles
+    assert cli.main(["train", "--n", "5", "--depth", "400", "--out", str(out)]) == 1
+    assert "a training of 15000 angles needs about 1.68 GiB" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_prices_the_inverse_hessian_of_every_restart_its_workers_hold_at_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 1500 ** 2 * 8 * 3 // 2)  # one H of 1,500 angles, not two
+    maps = []
+    monkeypatch.setattr(cli, "_map", lambda fn, calls, workers: maps.append(workers) or [fn(*c) for c in calls])
+    args = ["train", "--n", "4", "--depth", "50", "--iters", "1", "--restarts", "2", "--no-svg"]  # 100 blocks
+    assert cli.main([*args, "--workers", "2", "--out", str(tmp_path / "two")]) == 1
+    assert "2 trainings of 1500 angles at once need about" in capsys.readouterr().err
+    assert maps == [] and not (tmp_path / "two").exists()
+    assert cli.main([*args, "--workers", "1", "--out", str(tmp_path / "one")]) == 0
+    assert maps == [1]
+
 def test_evolve_refuses_a_density_matrix_beyond_physical_memory(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["evolve", "--n", "20", "--p", "1e-3", "--out", str(out)]) == 1

@@ -201,6 +201,15 @@ def test_memory_guard_refuses_runs_beyond_physical_memory(monkeypatch):
         pipeline.check_memory(25, noisy=False)
 
 
+
+def test_training_memory_guard_prices_one_inverse_hessian_per_concurrent_training(monkeypatch):
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 8 * 1000 ** 2)
+    pipeline.check_training_memory(1000)
+    with pytest.raises(ValueError, match="a training of 1001 angles needs about"):
+        pipeline.check_training_memory(1001)
+    with pytest.raises(ValueError, match="2 trainings of 1000 angles at once need about"):
+        pipeline.check_training_memory(1000, concurrent=2)
+
 def test_sweep_point_rows():
     row = pipeline.sweep_point(4, 1.0, 0.0)
     assert (row.n, row.N, row.t, row.p) == (4, 16, 1.0, 0.0)

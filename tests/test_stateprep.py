@@ -13,6 +13,7 @@ update to the secant equation on random SPD matrices.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,6 +565,32 @@ def test_bfgs_update_keeps_h_symmetric_positive_definite_and_meets_the_secant_eq
     assert np.max(np.abs(h - h.T)) <= 1e-12 * scale
     assert np.linalg.norm(h @ y - s) <= 1e-9 * (np.linalg.norm(s) + scale * np.linalg.norm(y))
     assert np.min(np.linalg.eigvalsh((h + h.T) / 2.0)) > 0.0
+
+
+@pytest.mark.parametrize("dim", [200, 1000])  # bands of 163 and 32 rows, the last one short
+def test_bfgs_update_by_row_bands_matches_the_textbook_formula(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+    h = a @ a.T / dim + np.eye(dim)
+    s, y = rng.standard_normal(dim), rng.standard_normal(dim)
+    y = y if s @ y > 0.0 else -y
+    r, hy = 1.0 / (s @ y), h @ y
+    expected = h - r * (np.outer(s, hy) + np.outer(hy, s)) + (r * r * (y @ hy) + r) * np.outer(s, s)
+    _bfgs_update(h, s, y)
+    assert np.max(np.abs(h - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_bfgs_holds_one_inverse_hessian_and_no_full_size_temporary():
+    dim = 1000  # H is 8 MB; a second full-size array would double the peak
+    fun = _quadratic(np.diag(np.linspace(1.0, 10.0, dim)), np.ones(dim))
+    x0 = np.zeros(dim)
+    tracemalloc.start()
+    try:
+        _bfgs(fun, x0, 5, lambda value: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * dim * dim <= peak <= 1.1 * 8 * dim * dim
 
 
 # ------------------------------------------------------------------- checkpoint
