@@ -551,6 +551,8 @@ def test_bfgs_stops_abnormally_on_a_gradient_of_the_wrong_sign():
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+@example(dim=200, seed=0)  # row bands of 163: two, the last one short
+@example(dim=1000, seed=0)  # row bands of 32: 32, the last one short
 def test_bfgs_update_keeps_h_symmetric_positive_definite_and_meets_the_secant_equation(dim, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -565,19 +567,6 @@ def test_bfgs_update_keeps_h_symmetric_positive_definite_and_meets_the_secant_eq
     assert np.max(np.abs(h - h.T)) <= 1e-12 * scale
     assert np.linalg.norm(h @ y - s) <= 1e-9 * (np.linalg.norm(s) + scale * np.linalg.norm(y))
     assert np.min(np.linalg.eigvalsh((h + h.T) / 2.0)) > 0.0
-
-
-@pytest.mark.parametrize("dim", [200, 1000])  # bands of 163 and 32 rows, the last one short
-def test_bfgs_update_by_row_bands_matches_the_textbook_formula(dim):
-    rng = np.random.default_rng(dim)
-    a = rng.standard_normal((dim, dim))
-    h = a @ a.T / dim + np.eye(dim)
-    s, y = rng.standard_normal(dim), rng.standard_normal(dim)
-    y = y if s @ y > 0.0 else -y
-    r, hy = 1.0 / (s @ y), h @ y
-    expected = h - r * (np.outer(s, hy) + np.outer(hy, s)) + (r * r * (y @ hy) + r) * np.outer(s, s)
-    _bfgs_update(h, s, y)
-    assert np.max(np.abs(h - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_bfgs_holds_one_inverse_hessian_and_no_full_size_temporary():
