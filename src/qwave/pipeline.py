@@ -21,13 +21,15 @@ from .compile import count, lower
 from .sim import (
     Circuit,
     DensityMatrix,
+    Gate,
     NoiseModel,
     StateVector,
+    _dm_wire0_pass,
     apply_circuit,
     apply_circuit_noisy,
     state_infidelity,
 )
-from .stateprep import Checkpoint, GridSpec, ansatz_to_circuit, ricker_target
+from .stateprep import BLOCK_PARAMS, Checkpoint, GridSpec, ansatz_to_circuit, ricker_target
 
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # bytes
 
@@ -63,12 +65,17 @@ def check_memory(n: int, noisy: bool, concurrent: int = 1) -> None:
     _refuse_beyond_memory(need, concurrent, f"{kind} run", f"at n={n}")
 
 
-def check_training_memory(num_params: int, concurrent: int = 1) -> None:
-    """Refuse `concurrent` trainings at once whose BFGS inverse Hessians, num_params^2 doubles each, would not fit.
+def check_training_memory(num_params: int, concurrent: int = 1, state_size: int = 0) -> None:
+    """Refuse `concurrent` trainings at once whose working arrays would not fit in physical memory.
 
-    Peak RSS above the import baseline measured 1.00 inverse Hessians at 3,750 angles.
+    Each training holds a BFGS inverse Hessian of num_params^2 doubles, and its
+    gradient sweeps hold 6 statevectors of `state_size` amplitudes per block of
+    BLOCK_PARAMS angles (0 prices the inverse Hessian alone).  Peak RSS above
+    the import baseline measured 1.00 inverse Hessians at 3,750 angles, and
+    5.95-6.05 statevectors per block at n = 12, 14 and 15.
     """
-    _refuse_beyond_memory(concurrent * 8 * num_params ** 2, concurrent, "training", f"of {num_params} angles")
+    need = 8 * num_params ** 2 + 6 * 16 * state_size * (num_params // BLOCK_PARAMS)
+    _refuse_beyond_memory(concurrent * need, concurrent, "training", f"of {num_params} angles")
 
 
 def _refuse_beyond_memory(need: float, concurrent: int, run: str, detail: str) -> None:
@@ -114,13 +121,54 @@ def circuit_infidelity(n: int, t: float) -> float:
     return state_infidelity(exact_reference(n, t), evolved)
 
 
+def _spatial(gates: list[Gate], n: int) -> Circuit:
+    """The gates of wires 1..n as a circuit on n qubits."""
+    return Circuit(n, [Gate(g.kind, tuple(q - 1 for q in g.targets), g.params, g.values) for g in gates])
+
+
 def noisy_infidelity(n: int, t: float, p: float) -> float:
     """Infidelity of the noisy small-angle run on the exactly injected Ricker state.
 
     The state is injected, not prepared, so only the evolution's gates are noisy.
+    The run never forms the full rho.  Wire 0 holds |0> and meets wires 1..n
+    only in the diagonal block's pair gates (0, q), so the spatial gates before
+    them give sigma on n qubits and wire 0's own gates a 2-vector phi.  From
+    there three wire-0 blocks B_ab = phi_a phi_b^* sigma carry rho, as
+    rho_10 = rho_01^dag: the pair gates run on them through `_dm_wire0_pass`,
+    then the QFT on each block alone, and the wire-0 gates after the QFT fold
+    into the target chi, so F = sum_ab <chi_a| B_ab |chi_b>.
     """
-    rho = simulate_noisy(evolution_circuit(n, t, mode="approx"), p, ricker_state(n))
-    return state_infidelity(exact_reference(n, t), rho)
+    circuit, noise, N = evolution_circuit(n, t, mode="approx"), NoiseModel(p), 2 ** n
+    gates = circuit.gates
+    pairs = [i for i, g in enumerate(gates) if 0 in g.targets and g.num_targets > 1]
+    first, end = (pairs[0], pairs[-1] + 1) if pairs else (len(gates), len(gates))
+    if (circuit.final_permutation is not None or pairs != list(range(first, end))
+            or any(g.num_targets != 2 or g.phases() is None for g in gates[first:end])):
+        raise ValueError("the evolution circuit must couple wire 0 only in one run of diagonal pair gates")
+    phi, final = np.eye(2, dtype=complex)[0], np.eye(2, dtype=complex)
+    for g in gates[:first]:
+        if g.targets == (0,):
+            phi = g.matrix() @ phi
+    for g in gates[end:]:
+        if g.targets == (0,):
+            final = g.matrix() @ final
+    before = _spatial([g for g in gates[:first] if 0 not in g.targets], n)
+    sigma = apply_circuit_noisy(StateVector(ricker_state(n).amplitudes[:N], check=False), before, noise).entries
+    weights = np.outer(phi, phi.conj())
+    blocks = [sigma * weights[a, b] for a, b in ((0, 0), (0, 1), (1, 1))]
+    del sigma
+    for g in gates[first:end]:
+        _dm_wire0_pass(blocks, g.phases(), g.targets, 16.0 * p / 15.0)
+    after = _spatial([g for g in gates[end:] if 0 not in g.targets], n)
+    chi = final.conj().T @ exact_reference(n, t).amplitudes.reshape(2, N)
+    image = np.zeros_like(chi)  # rho chi, a row of wire-0 blocks at a time
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        block = apply_circuit_noisy(DensityMatrix(blocks.pop(0), check=False), after, noise).entries
+        image[a] += block @ chi[b]
+        if a != b:  # rho_10 chi_0 = rho_01^dag chi_0
+            image[b] += (chi[a].conj() @ block).conj()
+        del block
+    return float(min(max(1.0 - np.vdot(chi, image).real, 0.0), 1.0))
 
 
 def model_epsilon(n: int, t: float) -> tuple[float, float, float]:

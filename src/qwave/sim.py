@@ -432,6 +432,34 @@ def _dm_diagonal_pass(entries: np.ndarray, phases: np.ndarray, targets: Sequence
             pair[block] += share
 
 
+def _dm_wire0_pass(blocks: Sequence[np.ndarray], phases: np.ndarray, targets: Sequence[int], w: float) -> None:
+    """In place: `_dm_diagonal_pass` for a pair (0, q), on the wire-0 blocks (rho_00, rho_01, rho_11) of rho.
+
+    Block ab holds the rows with wire 0 = a and the columns with wire 0 = b, on
+    wires 1..n; rho_10 = rho_01^dag is left out.  Every entry gets the factor,
+    share and summation order of the full pass, so the blocks keep its bits.
+    """
+    q = max(targets) - 1  # the pair's other wire, as a wire of a block
+    dim = len(blocks[0])
+    phases = phases.reshape(2, 2).transpose(np.argsort(targets))  # [wire-0 bit, wire-q bit]
+    split = (2 ** q, 2, dim >> (q + 1))  # a block index as (wires above q, q, wires below q)
+    views = [blocks[a].reshape(split + split, copy=False) for a in (0, 2)]
+    diagonal = [view[:, j, :, :, j, :] for view in views for j in (0, 1)]  # rho's four pair-diagonal blocks
+    if w:
+        share = np.add(0, diagonal[0])
+        for sub in diagonal[1:]:
+            np.add(share, sub, out=share)
+        np.multiply(w / 4.0, share, out=share)
+    for (a, b), block in zip(((0, 0), (0, 1), (1, 1)), blocks):
+        column_phases = _apply_gate_array(np.ones(dim, dtype=complex), phases[b].conj(), (q,), int(math.log2(dim)))
+        rows = block.reshape(split + (dim,), copy=False)
+        for j in (0, 1):
+            rows[:, j] *= ((1.0 - w) * phases[a, j]) * column_phases
+    if w:
+        for sub in diagonal:
+            sub += share
+
+
 def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float, m: int) -> np.ndarray:
     """Two-qubit depolarizing channel on wires (a, b); returns a new array.
 

@@ -487,6 +487,27 @@ def test_train_prices_the_inverse_hessian_of_every_restart_its_workers_hold_at_o
     assert cli.main([*args, "--workers", "1", "--out", str(tmp_path / "one")]) == 0
     assert maps == [1]
 
+
+class _Admitted(Exception):
+    """Raised by a stubbed `_map`: the run passed its memory check."""
+
+
+def _admit(fn, calls, workers):
+    raise _Admitted
+
+
+def test_train_prices_the_gradient_sweeps_of_a_large_register(tmp_path, capsys, monkeypatch):
+    # 6 statevectors of 2^(n+1) amplitudes per block: 50 blocks at n = 20 need about 9.4 GiB, 48 at n = 19 about 4.5
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", int(7.8 * 2 ** 30))
+    monkeypatch.setattr(cli, "_map", _admit)
+    out = tmp_path / "n20"
+    assert cli.main(["train", "--n", "20", "--restarts", "1", "--no-svg", "--out", str(out)]) == 1
+    assert "a training of 750 angles needs about 9.38 GiB" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(_Admitted):
+        cli.main(["train", "--n", "19", "--restarts", "1", "--no-svg", "--out", str(tmp_path / "n19")])
+
+
 def test_evolve_refuses_a_density_matrix_beyond_physical_memory(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["evolve", "--n", "20", "--p", "1e-3", "--out", str(out)]) == 1

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import out_of_place_noisy, pure_density, purity, smallangle_evolve
 from qwave import pipeline
-from qwave.sim import Circuit, DensityMatrix, NoiseModel, StateVector, apply_circuit_noisy, state_infidelity
+from qwave.sim import Circuit, DensityMatrix, NoiseModel, StateVector, apply_circuit_noisy, hadamard, state_infidelity
 from qwave.spectral import dft, exact_evolve, infidelity_model
 from qwave.stateprep import (
     Checkpoint,
@@ -149,6 +149,39 @@ def test_noisy_run_peaks_below_one_and_a_half_density_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 1.4 * rho.entries.nbytes
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_noisy_infidelity_on_wire0_blocks_matches_the_full_density_matrix(n):
+    for t in (1.0, 0.37, 0.0):  # at t = 0 the circuit is empty
+        exact, circuit = pipeline.exact_reference(n, t), pipeline.evolution_circuit(n, t)
+        for p in (1e-4, 1e-3, 0.5, 15 / 16, 1.0):
+            full = state_infidelity(exact, pipeline.simulate_noisy(circuit, p, pipeline.ricker_state(n)))
+            assert abs(pipeline.noisy_infidelity(n, t, p) - full) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", ["one_diagonal_on_every_wire", "wire0_gate_between_pair_gates"])
+def test_noisy_infidelity_refuses_a_circuit_that_couples_wire0_otherwise(monkeypatch, shape):
+    if shape == "one_diagonal_on_every_wire":
+        circuit = pipeline.evolution_circuit(3, 0.5, mode="exact")
+    else:
+        circuit = pipeline.evolution_circuit(3, 0.5)
+        first = next(i for i, g in enumerate(circuit.gates) if g.num_targets == 2 and 0 in g.targets)
+        circuit.gates.insert(first + 1, hadamard(0))
+    monkeypatch.setattr(pipeline, "evolution_circuit", lambda *args, **kwargs: circuit)
+    with pytest.raises(ValueError, match="couple wire 0 only in one run of diagonal pair gates"):
+        pipeline.noisy_infidelity(3, 0.5, 1e-3)
+
+
+def test_noisy_sweep_point_peaks_below_one_point_two_density_matrices():
+    n = 9  # the largest point of the noisy sweep: rho is 2^10 x 2^10, 16 MiB
+    tracemalloc.start()
+    try:
+        pipeline.sweep_point(n, 1.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 16 * 4 ** (n + 1)
 
 
 def test_measured_infidelity_matches_closed_form_model():

@@ -511,6 +511,22 @@ def test_single_qubit_only_circuit_stays_pure_under_noise():
     assert purity(rho) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.5])
+def test_wire0_pass_is_bit_identical_to_the_full_pass_block_by_block(n, p):
+    # the pass on rho_00, rho_01 and rho_11 against `_dm_diagonal_pass` on the assembled rho
+    rng, N, w = np.random.default_rng(n), 2 ** n, 16.0 * p / 15.0
+    rho = _random_density(n + 1, rng).entries
+    for q in range(1, n + 1):
+        for gate in (rzz(rng.uniform(-np.pi, np.pi), 0, q), cphase(rng.uniform(-np.pi, np.pi), q, 0)):
+            full = rho.copy()
+            sim._dm_diagonal_pass(full, gate.phases(), gate.targets, n + 1, w)
+            blocks = [rho[:N, :N].copy(), rho[:N, N:].copy(), rho[N:, N:].copy()]
+            sim._dm_wire0_pass(blocks, gate.phases(), gate.targets, w)
+            for got, want in zip(blocks, (full[:N, :N], full[:N, N:], full[N:, N:])):
+                assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(6) for b in range(6) if a != b])
 def test_noisy_pair_gates_on_six_qubits_match_pauli_sum(a, b):
     # beyond the property tests' four qubits: every ordered pair, adjacent or not, a > b too
