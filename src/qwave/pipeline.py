@@ -24,7 +24,8 @@ from .sim import (
     Gate,
     NoiseModel,
     StateVector,
-    _dm_wire0_pass,
+    _noisy_vec,
+    _vec_wire0_pass,
     apply_circuit,
     apply_circuit_noisy,
     state_infidelity,
@@ -130,15 +131,16 @@ def noisy_infidelity(n: int, t: float, p: float) -> float:
     """Infidelity of the noisy small-angle run on the exactly injected Ricker state.
 
     The state is injected, not prepared, so only the evolution's gates are noisy.
-    The run never forms the full rho.  Wire 0 holds |0> and meets wires 1..n
-    only in the diagonal block's pair gates (0, q), so the spatial gates before
-    them give sigma on n qubits and wire 0's own gates a 2-vector phi.  From
-    there three wire-0 blocks B_ab = phi_a phi_b^* sigma carry rho, as
-    rho_10 = rho_01^dag: the pair gates run on them through `_dm_wire0_pass`,
-    then the QFT on each block alone, and the wire-0 gates after the QFT fold
-    into the target chi, so F = sum_ab <chi_a| B_ab |chi_b>.
+    The run never forms the full rho, and works on vec(rho) throughout.  Wire 0
+    holds |0> and meets wires 1..n only in the diagonal block's pair gates
+    (0, q), so the spatial gates before them give sigma on n qubits and wire
+    0's own gates a 2-vector phi.  From there three wire-0 blocks
+    B_ab = phi_a phi_b^* sigma carry rho, as rho_10 = rho_01^dag: the pair
+    gates run on them through `_vec_wire0_pass`, then the QFT on each block in
+    place, and the wire-0 gates after the QFT fold into the target chi, so
+    F = <chi_0|B_00|chi_0> + <chi_1|B_11|chi_1> + 2 Re <chi_0|B_01|chi_1>.
     """
-    circuit, noise, N = evolution_circuit(n, t, mode="approx"), NoiseModel(p), 2 ** n
+    circuit, w, N = evolution_circuit(n, t, mode="approx"), 16.0 * p / 15.0, 2 ** n
     gates = circuit.gates
     pairs = [i for i, g in enumerate(gates) if 0 in g.targets and g.num_targets > 1]
     first, end = (pairs[0], pairs[-1] + 1) if pairs else (len(gates), len(gates))
@@ -153,22 +155,21 @@ def noisy_infidelity(n: int, t: float, p: float) -> float:
         if g.targets == (0,):
             final = g.matrix() @ final
     before = _spatial([g for g in gates[:first] if 0 not in g.targets], n)
-    sigma = apply_circuit_noisy(StateVector(ricker_state(n).amplitudes[:N], check=False), before, noise).entries
+    sigma = _noisy_vec(StateVector(ricker_state(n).amplitudes[:N], check=False), before, w)
     weights = np.outer(phi, phi.conj())
-    blocks = [sigma * weights[a, b] for a, b in ((0, 0), (0, 1), (1, 1))]
+    blocks = [sigma * weights[0, 0], sigma * weights[0, 1], np.multiply(sigma, weights[1, 1], out=sigma)]
     del sigma
     for g in gates[first:end]:
-        _dm_wire0_pass(blocks, g.phases(), g.targets, 16.0 * p / 15.0)
+        _vec_wire0_pass(blocks, g.phases(), g.targets, w)
     after = _spatial([g for g in gates[end:] if 0 not in g.targets], n)
     chi = final.conj().T @ exact_reference(n, t).amplitudes.reshape(2, N)
-    image = np.zeros_like(chi)  # rho chi, a row of wire-0 blocks at a time
+    fidelity = 0.0
     for a, b in ((0, 0), (0, 1), (1, 1)):
-        block = apply_circuit_noisy(DensityMatrix(blocks.pop(0), check=False), after, noise).entries
-        image[a] += block @ chi[b]
-        if a != b:  # rho_10 chi_0 = rho_01^dag chi_0
-            image[b] += (chi[a].conj() @ block).conj()
+        block = _noisy_vec(blocks.pop(0), after, w)
+        term = np.vdot((chi[a].reshape([2, 1] * n) * chi[b].conj().reshape([1, 2] * n)).reshape(-1), block)
+        fidelity += term.real if a == b else 2.0 * term.real
         del block
-    return float(min(max(1.0 - np.vdot(chi, image).real, 0.0), 1.0))
+    return float(min(max(1.0 - fidelity, 0.0), 1.0))
 
 
 def model_epsilon(n: int, t: float) -> tuple[float, float, float]:

@@ -19,17 +19,24 @@ over the 15 non-identity two-qubit Paulis; single-qubit gates are noiseless.
 One gate kernel, `_apply_gate_array`, serves the statevector: a diagonal gate
 (RZ, RZZ, CPHASE, DIAG) multiplies the amplitudes by its phases, a dense one
 (H, PHASEDX) is one matmul over its consecutive target axes, in
-`_apply_dense`, which state prep calls directly for its 4x4 blocks.  On a
-density matrix a dense gate is that kernel on the row axes with U and on the
-column axes with conj(U), in place: it overwrites rho slab by slab, 1 MiB at a
-time.  A diagonal gate is one in-place pass: the rows whose target bits agree
-share one phase, so each such row class is multiplied by one contiguous
-column-phase vector.  Every two-qubit gate is diagonal, and D on (a, b) leaves
-Tr_ab rho unchanged, so its channel folds into the same pass:
+`_apply_dense`, which state prep calls directly for its 4x4 blocks.
+
+A noisy run keeps rho as vec(rho), the 2m-qubit vector whose axes put each
+wire's row and column bits side by side, (r_0, c_0, r_1, c_1, ...), as QuEST
+does (Jones et al., arXiv:1802.08032).  Wire q then owns one 4-valued axis
+Q_q = 2 r_q + c_q.  A dense gate U on wire q is the same kernel with
+U (x) conj(U) on that axis, in place: it overwrites vec(rho) slab by slab,
+1 MiB at a time.  A diagonal gate is one in-place multiply by
+(1 - w) D_r conj(D_c) on its targets' axes.  Every two-qubit gate is
+diagonal, and D on (a, b) leaves Tr_ab rho unchanged, so its channel folds
+into the same pass:
 
     E(D rho D^dag) = (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab,  w = 16p/15,
 
-with the partial trace read from rho before the multiply.
+with the partial trace, the four views with Q_a, Q_b in {0, 3}, read before
+the multiply and added back onto them after it.  `apply_circuit_noisy`
+returns rho in the standard (2^m, 2^m) layout: one in-place permutation of
+vec(rho)'s axes undoes the interleaving and applies the trailing relabeling.
 
 A noisy run from a pure state keeps each wire that the state holds in a basis
 state out of rho, as a 2-vector, until the first multi-qubit gate touches it.
@@ -42,6 +49,7 @@ on a 4x smaller rho.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -404,57 +412,75 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(_run_circuit(state.amplitudes, circuit), check=False)
 
 
-def _dm_diagonal_pass(entries: np.ndarray, phases: np.ndarray, targets: Sequence[int], m: int, w: float) -> None:
-    """In place: rho <- (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab; w > 0 only for a pair (a, b).
+def _vec_factor(phases: np.ndarray, targets: Sequence[int], w: float) -> np.ndarray:
+    """(1 - w) D_r conj(D_c) on the targets' 4-valued axes Q = 2r + c, in wire order: the pass's multiplier."""
+    k = len(targets)
+    row = phases.reshape([2] * k).transpose(np.argsort(targets))  # indexed in wire order
+    return (((1.0 - w) * row.reshape([2, 1] * k)) * row.conj().reshape([1, 2] * k)).reshape([4] * k)
 
-    Each row class (the rows whose target bits agree) is multiplied by one
-    2^m-long column-phase vector.  The share (w/4) Tr_ab rho is read before the
-    multiply and added onto the four pair-diagonal blocks after it.
+
+def _grouped(wires: Sequence[int], k: int) -> list[int]:
+    """k 4-valued axes as (.., 4, .., 4, .., tail): the axes between the sorted `wires` grouped."""
+    bounds = [-1] + list(wires)
+    return [d for lo, hi in zip(bounds, bounds[1:]) for d in (4 ** (hi - lo - 1), 4)] + [4 ** (k - 1 - bounds[-1])]
+
+
+_RUN = 4  # trailing axes that a factor is spelled out over, so that no inner loop is shorter than 4^4
+
+
+def _scale(vec: np.ndarray, factor: np.ndarray, wires: Sequence[int], k: int) -> None:
+    """vec *= factor in place; factor is on the sorted `wires` of vec's k 4-valued axes, broadcast over the rest."""
+    cut = max(0, k - _RUN)
+    outer = [q for q in wires if q < cut]
+    run = factor.reshape([4] * len(outer) + [4 if q in wires else 1 for q in range(cut, k)])
+    run = np.broadcast_to(run, run.shape[:len(outer)] + (4,) * (k - cut))
+    view = vec.reshape(_grouped(outer, cut) + [4 ** (k - cut)], copy=False)
+    view *= run.reshape([1, 4] * len(outer) + [1, -1])
+
+
+def _share(diagonal: Sequence[np.ndarray], w: float) -> np.ndarray:
+    """(w/4) (d0 + d1 + d2 + d3), summed as 0 + d0 + d1 + ... in one buffer."""
+    share = np.add(0, diagonal[0])
+    for sub in diagonal[1:]:
+        np.add(share, sub, out=share)
+    return np.multiply(w / 4.0, share, out=share)
+
+
+def _vec_diagonal_pass(vec: np.ndarray, phases: np.ndarray, targets: Sequence[int], k: int, w: float) -> None:
+    """In place on vec(rho) of k wires: rho <- (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab.
+
+    w > 0 only for a pair (a, b).  Every entry is multiplied by its factor.
+    The share (w/4) Tr_ab rho, the sum of the four views with Q_a, Q_b in
+    {0, 3}, is read before the multiply and added back onto them after it.
     """
     wires = sorted(targets)
-    bounds = [-1] + wires  # rows as (.., 2, .., 2, .., tail): the axes between targets grouped
-    dims = [d for lo, hi in zip(bounds, bounds[1:]) for d in (2 ** (hi - lo - 1), 2)] + [2 ** (m - 1 - wires[-1])]
-    row_phases = phases.reshape([2] * len(targets)).transpose(np.argsort(targets))  # indexed in wire order
-    column_phases = _apply_gate_array(np.ones(2 ** m, dtype=complex), phases.conj(), targets, m)
-    every = slice(None)
     if w:
-        pair = entries.reshape(dims + dims, copy=False)
-        blocks = [(every, i, every, j, every) * 2 for i in (0, 1) for j in (0, 1)]
-        share = np.add(0, pair[blocks[0]])  # the sum 0 + b0 + b1 + ... in one buffer
-        for block in blocks[1:]:
-            np.add(share, pair[block], out=share)
-        np.multiply(w / 4.0, share, out=share)
-    rows = entries.reshape(dims + [2 ** m], copy=False)
-    for bits in np.ndindex(row_phases.shape):
-        rows[tuple(x for bit in bits for x in (every, bit))] *= ((1.0 - w) * row_phases[bits]) * column_phases
+        every, view = slice(None), vec.reshape(_grouped(wires, k), copy=False)
+        diagonal = [view[every, i, every, j, every] for i in (0, 3) for j in (0, 3)]
+        share = _share(diagonal, w)
+    _scale(vec, _vec_factor(phases, targets, w), wires, k)
     if w:
-        for block in blocks:
-            pair[block] += share
+        for sub in diagonal:
+            sub += share
 
 
-def _dm_wire0_pass(blocks: Sequence[np.ndarray], phases: np.ndarray, targets: Sequence[int], w: float) -> None:
-    """In place: `_dm_diagonal_pass` for a pair (0, q), on the wire-0 blocks (rho_00, rho_01, rho_11) of rho.
+def _vec_wire0_pass(blocks: Sequence[np.ndarray], phases: np.ndarray, targets: Sequence[int], w: float) -> None:
+    """In place: `_vec_diagonal_pass` for a pair (0, q), on the wire-0 blocks (rho_00, rho_01, rho_11) of rho.
 
-    Block ab holds the rows with wire 0 = a and the columns with wire 0 = b, on
-    wires 1..n; rho_10 = rho_01^dag is left out.  Every entry gets the factor,
-    share and summation order of the full pass, so the blocks keep its bits.
+    Block ab is vec of the rows with wire 0 = a and the columns with wire 0 = b,
+    on wires 1..n, so it is the slice Q_0 = 2a + b of vec(rho); rho_10 =
+    rho_01^dag is left out.  Every entry gets the factor, share and summation
+    order of the full pass, so the blocks keep its bits.
     """
     q = max(targets) - 1  # the pair's other wire, as a wire of a block
-    dim = len(blocks[0])
-    phases = phases.reshape(2, 2).transpose(np.argsort(targets))  # [wire-0 bit, wire-q bit]
-    split = (2 ** q, 2, dim >> (q + 1))  # a block index as (wires above q, q, wires below q)
-    views = [blocks[a].reshape(split + split, copy=False) for a in (0, 2)]
-    diagonal = [view[:, j, :, :, j, :] for view in views for j in (0, 1)]  # rho's four pair-diagonal blocks
+    k = (blocks[0].size.bit_length() - 1) // 2
     if w:
-        share = np.add(0, diagonal[0])
-        for sub in diagonal[1:]:
-            np.add(share, sub, out=share)
-        np.multiply(w / 4.0, share, out=share)
-    for (a, b), block in zip(((0, 0), (0, 1), (1, 1)), blocks):
-        column_phases = _apply_gate_array(np.ones(dim, dtype=complex), phases[b].conj(), (q,), int(math.log2(dim)))
-        rows = block.reshape(split + (dim,), copy=False)
-        for j in (0, 1):
-            rows[:, j] *= ((1.0 - w) * phases[a, j]) * column_phases
+        views = [blocks[a].reshape(_grouped([q], k), copy=False) for a in (0, 2)]
+        diagonal = [view[:, j] for view in views for j in (0, 3)]
+        share = _share(diagonal, w)
+    factor = _vec_factor(phases, targets, w)  # [Q_0, Q_q]
+    for block, row in zip(blocks, (0, 1, 3)):
+        _scale(block, factor[row], [q], k)
     if w:
         for sub in diagonal:
             sub += share
@@ -465,11 +491,11 @@ def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float, m: int) -> np
 
     Uses the twirl identity sum_{all 16 P} P rho P^dag = 16 (Tr_ab rho) (x) I/4,
     so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4: the pass of a
-    noisy two-qubit gate, with the identity gate, on a copy.
+    noisy two-qubit gate, with the identity gate, on an interleaved copy.
     """
-    out = np.array(entries, dtype=complex)
-    _dm_diagonal_pass(out, np.ones(4, dtype=complex), (a, b), m, 16.0 * p / 15.0)
-    return out
+    vec = _interleave(np.asarray(entries, dtype=complex))
+    _vec_diagonal_pass(vec, np.ones(4, dtype=complex), (a, b), m, 16.0 * p / 15.0)
+    return _standard_layout(vec, m)
 
 
 def _basis_wires(state: StateVector) -> tuple[dict[int, np.ndarray], np.ndarray]:
@@ -488,37 +514,64 @@ def _basis_wires(state: StateVector) -> tuple[dict[int, np.ndarray], np.ndarray]
     return held, amps[tuple(index)].reshape(-1)
 
 
-def _insert_wire(entries: np.ndarray, phi: np.ndarray, position: int) -> np.ndarray:
-    """rho on k wires -> the (k+1)-wire rho with |phi><phi| as its wire `position`; a new array."""
-    lead = 2 ** position
-    tail = entries.shape[0] // lead
-    block = np.outer(phi, phi.conj()).reshape(1, 2, 1, 1, 2, 1)
-    out = entries.reshape(lead, 1, tail, lead, 1, tail) * block
-    return out.reshape(2 * entries.shape[0], -1)
+def _interleave(entries: np.ndarray) -> np.ndarray:
+    """vec(rho) of a (2^m, 2^m) rho, axes (r_0, c_0, r_1, c_1, ...): one new array."""
+    m = entries.shape[0].bit_length() - 1
+    return np.array(entries.reshape([2] * (2 * m)).transpose([x for q in range(m) for x in (q, q + m)])).reshape(-1)
 
 
-def apply_circuit_noisy(start: StateVector | DensityMatrix, circuit: Circuit, noise: NoiseModel) -> DensityMatrix:
-    """Run `circuit` on a pure or mixed state, depolarizing after every two-qubit gate.
+_SWAP = 2 ** 14  # entries an in-place axis swap moves through its buffer at once
 
-    Each wire a `StateVector` start holds in a basis state is a 2-vector, which
-    single-qubit gates update, until a multi-qubit gate inserts it into rho (or
-    the end does, before the final permutation).  A `DensityMatrix` start holds
-    no wire.  Works on one copy of rho: a diagonal gate, with its channel if it
-    has two targets, is one in-place pass, and a dense gate is the kernel in
-    place on the row axes, then on the column axes.  Only the trailing
-    relabeling's gather copies rho; inserting a held wire makes the 4x larger
-    rho from the old one.
+
+def _standard_layout(vec: np.ndarray, m: int, perm: Sequence[int] | None = None) -> np.ndarray:
+    """In place: vec(rho) of m wires -> rho as a (2^m, 2^m) view of it, wire q moved to perm[q].
+
+    The axes reach their places by swaps of two axes at a time; a swap
+    exchanges the halves (.., 0, .., 1, ..) and (.., 1, .., 0, ..) through one
+    buffer of `_SWAP` entries, so no second array of rho's size is made.
     """
-    if start.num_qubits != circuit.num_qubits:
-        raise ValueError("state and circuit act on different register sizes")
-    m = circuit.num_qubits
-    w = 16.0 * noise.p / 15.0
+    inv = _invert_permutation(perm) if perm is not None else list(range(m))
+    want = [2 * q for q in inv] + [2 * q + 1 for q in inv]  # the vec axis each rho axis takes
+    have, bits = list(range(2 * m)), 2 * m
+    buffer = np.empty(_SWAP, dtype=vec.dtype)
+    for i, axis in enumerate(want):
+        j = have.index(axis)
+        if j == i:
+            continue
+        have[i], have[j] = axis, have[i]
+        view = vec.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, 2 ** (bits - 1 - j), copy=False)
+        lo, hi = view[:, 0, :, 1], view[:, 1, :, 0]
+        _, mid, tail = lo.shape
+        steps = (max(1, _SWAP // (mid * tail)), max(1, _SWAP // tail), _SWAP)  # a chunk of at most _SWAP
+        for corner in itertools.product(*(range(0, size, step) for size, step in zip(lo.shape, steps))):
+            chunk = tuple(slice(x, x + step) for x, step in zip(corner, steps))
+            saved = buffer[:lo[chunk].size].reshape(lo[chunk].shape)
+            saved[...] = lo[chunk]
+            lo[chunk] = hi[chunk]
+            hi[chunk] = saved
+    return vec.reshape(2 ** m, 2 ** m)
+
+
+def _insert_held(vec: np.ndarray, phi: np.ndarray, position: int) -> np.ndarray:
+    """vec(rho) on k wires -> vec of the (k+1)-wire rho with |phi><phi| as its wire `position`; a new array."""
+    return (vec.reshape(4 ** position, 1, -1) * np.outer(phi, phi.conj()).reshape(1, 4, 1)).reshape(-1)
+
+
+def _noisy_vec(start: StateVector | np.ndarray, circuit: Circuit, w: float) -> np.ndarray:
+    """vec(rho) after the gates of `circuit`, depolarizing with weight w = 16p/15 after each pair gate.
+
+    A `StateVector` start keeps each wire it holds in a basis state as a
+    2-vector, which single-qubit gates update, until a multi-qubit gate (or
+    the end) inserts it.  An array start is the vec(rho) of every wire, and is
+    overwritten.  The trailing relabeling is left to the caller.
+    """
     if isinstance(start, StateVector):
         held, amps = _basis_wires(start)
-        entries = np.outer(amps, amps.conj())
+        k = amps.size.bit_length() - 1
+        vec = (amps.reshape([2, 1] * k) * amps.conj().reshape([1, 2] * k)).reshape(-1)
     else:
-        held, entries = {}, start.entries.copy()
-    live = [q for q in range(m) if q not in held]  # the wires of rho, in register order
+        held, vec = {}, start
+    live = [q for q in range(circuit.num_qubits) if q not in held]  # the wires of rho, in register order
     for gate in circuit.gates:
         if gate.num_targets == 1 and gate.targets[0] in held:
             # Exact: single-qubit gates are noiseless in this noise model, so a wire
@@ -528,23 +581,34 @@ def apply_circuit_noisy(start: StateVector | DensityMatrix, circuit: Circuit, no
             continue
         for q in sorted(t for t in gate.targets if t in held):
             position = bisect.bisect_left(live, q)
-            entries = _insert_wire(entries, held.pop(q), position)
+            vec = _insert_held(vec, held.pop(q), position)
             live.insert(position, q)
-        k = len(live)
         targets = tuple(live.index(t) for t in gate.targets)
         phases = gate.phases()
-        if phases is None:  # U on the row axes, then conj(U) on the column axes, both in place
-            u, (t,) = gate.matrix(), targets
-            _apply_dense(entries.reshape(-1), u, t, in_place=True)
-            _apply_dense(entries.reshape(-1), u.conj(), t + k, in_place=True)
+        if phases is None:  # U (x) conj(U) on the wire's (row, column) axes, in place
+            u = gate.matrix()
+            _apply_dense(vec, np.kron(u, u.conj()), 2 * targets[0], in_place=True)
         else:
-            _dm_diagonal_pass(entries, phases, targets, k, w if gate.num_targets == 2 else 0.0)
+            _vec_diagonal_pass(vec, phases, targets, len(live), w if gate.num_targets == 2 else 0.0)
     for q in sorted(held):
-        entries = _insert_wire(entries, held[q], q)  # the held wires below q are inserted already
-    if circuit.final_permutation is not None:
-        src = _permutation_source(m, tuple(circuit.final_permutation))
-        entries = entries[np.ix_(src, src)]
-    return DensityMatrix(entries, check=False)
+        vec = _insert_held(vec, held[q], q)  # the held wires below q are inserted already
+    return vec
+
+
+def apply_circuit_noisy(start: StateVector | DensityMatrix, circuit: Circuit, noise: NoiseModel) -> DensityMatrix:
+    """Run `circuit` on a pure or mixed state, depolarizing after every two-qubit gate.
+
+    The run works on vec(rho) (`_noisy_vec`): a pure start builds it from its
+    amplitudes, a `DensityMatrix` start is interleaved into one new array.  At
+    the end the trailing relabeling and the return to the standard layout are
+    one in-place axis permutation.
+    """
+    if start.num_qubits != circuit.num_qubits:
+        raise ValueError("state and circuit act on different register sizes")
+    if isinstance(start, DensityMatrix):
+        start = _interleave(start.entries)
+    vec = _noisy_vec(start, circuit, 16.0 * noise.p / 15.0)
+    return DensityMatrix(_standard_layout(vec, circuit.num_qubits, circuit.final_permutation), check=False)
 
 
 def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int) -> np.ndarray:

@@ -20,11 +20,16 @@ nested `np.stack`s, five separate partial products joined by
 products on the same operands as `qwave.stateprep`, so the library must match
 them bit for bit (the BFGS path of training moves with the last bits).
 
-`out_of_place_noisy` is the noisy density-matrix loop in its earlier form:
-each dense gate writes a new rho from the whole-array kernel, and the
-depolarizing share is a `sum()` of the four pair blocks.  The in-place,
-slab-by-slab library loop makes the same products, so it must match bit for
-bit.
+`out_of_place_noisy` is the noisy loop on vec(rho) in its plainest form:
+each dense gate writes a new vec(rho) from the whole-array kernel, the
+depolarizing share is a `sum()` of the four pair-diagonal views, and the end
+un-interleaves with a `transpose` copy.  The in-place, slab-by-slab library
+loop makes the same products, so it must match bit for bit.
+
+`standard_layout_noisy` is the earlier engine on the (2^m, 2^m) rho: a row
+pass with U and a column pass with conj(U) per dense gate, and a diagonal
+pass over row classes.  It rounds differently from U (x) conj(U) in one
+product, so it is a tolerance oracle.
 """
 
 import bisect
@@ -38,7 +43,6 @@ from qwave.sim import (
     StateVector,
     _apply_gate_array,
     _basis_wires,
-    _insert_wire,
     _permutation_source,
     _run_circuit,
 )
@@ -210,6 +214,15 @@ def stacked_cost_and_gradient(
     return 1.0 - overlap.real, -np.einsum("bjik,bki->bj", partials, cross).real.ravel()
 
 
+def _insert_wire(entries: np.ndarray, phi: np.ndarray, position: int) -> np.ndarray:
+    """rho on k wires -> the (k+1)-wire rho with |phi><phi| as its wire `position`; a new array."""
+    lead = 2 ** position
+    tail = entries.shape[0] // lead
+    block = np.outer(phi, phi.conj()).reshape(1, 2, 1, 1, 2, 1)
+    out = entries.reshape(lead, 1, tail, lead, 1, tail) * block
+    return out.reshape(2 * entries.shape[0], -1)
+
+
 def _summed_diagonal_pass(entries: np.ndarray, phases: np.ndarray, targets, m: int, w: float) -> None:
     """rho <- (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab in place, the share summed with sum()."""
     wires = sorted(targets)
@@ -230,8 +243,8 @@ def _summed_diagonal_pass(entries: np.ndarray, phases: np.ndarray, targets, m: i
             pair[block] += share
 
 
-def out_of_place_noisy(start, circuit, p: float) -> np.ndarray:
-    """The entries of the noisy run of `circuit` from `start`, each dense gate into a new rho."""
+def standard_layout_noisy(start, circuit, p: float) -> np.ndarray:
+    """The entries of the noisy run of `circuit` from `start` on the standard-layout rho."""
     m = circuit.num_qubits
     w = 16.0 * p / 15.0
     if isinstance(start, StateVector):
@@ -260,6 +273,65 @@ def out_of_place_noisy(start, circuit, p: float) -> np.ndarray:
             _summed_diagonal_pass(entries, phases, targets, k, w if gate.num_targets == 2 else 0.0)
     for q in sorted(held):
         entries = _insert_wire(entries, held[q], q)
+    if circuit.final_permutation is not None:
+        src = _permutation_source(m, tuple(circuit.final_permutation))
+        entries = entries[np.ix_(src, src)]
+    return entries
+
+
+def _summed_vec_pass(vec: np.ndarray, phases: np.ndarray, targets, k: int, w: float) -> None:
+    """The diagonal gate and its channel on vec(rho) in place, the share summed with sum()."""
+    wires = sorted(targets)
+    bounds = [-1] + wires
+    dims = [d for lo, hi in zip(bounds, bounds[1:]) for d in (4 ** (hi - lo - 1), 4)] + [4 ** (k - 1 - wires[-1])]
+    row = phases.reshape([2] * len(targets)).transpose(np.argsort(targets))
+    factor = ((1.0 - w) * row.reshape([2, 1] * len(targets))) * row.conj().reshape([1, 2] * len(targets))
+    view = vec.reshape(dims, copy=False)
+    every = slice(None)
+    if w:
+        diagonal = [view[every, i, every, j, every] for i in (0, 3) for j in (0, 3)]
+        share = (w / 4.0) * sum(diagonal)
+    view *= factor.reshape([1, 4] * len(targets) + [1])
+    if w:
+        for sub in diagonal:
+            sub += share
+
+
+def out_of_place_noisy(start, circuit, p: float) -> np.ndarray:
+    """The entries of the noisy run of `circuit` from `start` on vec(rho), each dense gate into a new vec."""
+    m = circuit.num_qubits
+    w = 16.0 * p / 15.0
+    if isinstance(start, StateVector):
+        held, amps = _basis_wires(start)
+        k = int(round(math.log2(amps.size)))
+        vec = np.multiply.outer(amps, amps.conj()).reshape([2] * (2 * k))
+        vec = vec.transpose([x for q in range(k) for x in (q, q + k)]).reshape(-1)
+    else:
+        held = {}
+        vec = np.array(start.entries.reshape([2] * (2 * m)).transpose([x for q in range(m) for x in (q, q + m)]))
+        vec = vec.reshape(-1)
+    live = [q for q in range(m) if q not in held]
+    for gate in circuit.gates:
+        if gate.num_targets == 1 and gate.targets[0] in held:
+            q = gate.targets[0]
+            held[q] = gate.matrix() @ held[q]
+            continue
+        for q in sorted(t for t in gate.targets if t in held):
+            position, phi = bisect.bisect_left(live, q), held.pop(q)
+            vec = (vec.reshape(4 ** position, 1, -1) * np.outer(phi, phi.conj()).reshape(1, 4, 1)).reshape(-1)
+            live.insert(position, q)
+        k = len(live)
+        targets = tuple(live.index(t) for t in gate.targets)
+        phases = gate.phases()
+        if phases is None:
+            u, (t,) = gate.matrix(), targets
+            vec = _apply_gate_array(vec, np.kron(u, u.conj()), (2 * t, 2 * t + 1), 2 * k)
+        else:
+            _summed_vec_pass(vec, phases, targets, k, w if gate.num_targets == 2 else 0.0)
+    for q in sorted(held):
+        vec = (vec.reshape(4 ** q, 1, -1) * np.outer(held[q], held[q].conj()).reshape(1, 4, 1)).reshape(-1)
+    entries = vec.reshape([2] * (2 * m)).transpose([2 * q for q in range(m)] + [2 * q + 1 for q in range(m)])
+    entries = entries.reshape(2 ** m, 2 ** m)
     if circuit.final_permutation is not None:
         src = _permutation_source(m, tuple(circuit.final_permutation))
         entries = entries[np.ix_(src, src)]

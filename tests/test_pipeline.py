@@ -11,7 +11,7 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 
-from oracles import out_of_place_noisy, pure_density, purity, smallangle_evolve
+from oracles import out_of_place_noisy, pure_density, purity, smallangle_evolve, standard_layout_noisy
 from qwave import pipeline
 from qwave.sim import Circuit, DensityMatrix, NoiseModel, StateVector, apply_circuit_noisy, hadamard, state_infidelity
 from qwave.spectral import dft, exact_evolve, infidelity_model
@@ -137,6 +137,17 @@ def test_noisy_run_is_bit_identical_to_the_out_of_place_loop(name, n, p):
     start, circuit = _noisy_run_case(name, n)
     got = apply_circuit_noisy(start, circuit, NoiseModel(p)).entries
     assert np.array_equal(got, out_of_place_noisy(start, circuit, p))
+
+
+@pytest.mark.parametrize("name", ["injected_ricker", "prep", "mixed_start", "relabeled"])
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("p", [0.0, 1e-4, 1e-3, 0.5])
+def test_noisy_run_matches_the_standard_layout_loop(name, n, p):
+    # U (x) conj(U) in one product rounds differently from a row pass and a column pass
+    start, circuit = _noisy_run_case(name, n)
+    got = apply_circuit_noisy(start, circuit, NoiseModel(p)).entries
+    want = standard_layout_noisy(start, circuit, p)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_noisy_run_peaks_below_one_and_a_half_density_matrices():

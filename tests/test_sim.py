@@ -5,6 +5,7 @@ recomputed through an independent dense-kron oracle in this file.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -514,17 +515,17 @@ def test_single_qubit_only_circuit_stays_pure_under_noise():
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.5])
 def test_wire0_pass_is_bit_identical_to_the_full_pass_block_by_block(n, p):
-    # the pass on rho_00, rho_01 and rho_11 against `_dm_diagonal_pass` on the assembled rho
-    rng, N, w = np.random.default_rng(n), 2 ** n, 16.0 * p / 15.0
-    rho = _random_density(n + 1, rng).entries
+    # the pass on the Q_0 = 0, 1, 3 slices of vec(rho) against `_vec_diagonal_pass` on the whole vec
+    rng, w = np.random.default_rng(n), 16.0 * p / 15.0
+    vec = sim._interleave(_random_density(n + 1, rng).entries)
     for q in range(1, n + 1):
         for gate in (rzz(rng.uniform(-np.pi, np.pi), 0, q), cphase(rng.uniform(-np.pi, np.pi), q, 0)):
-            full = rho.copy()
-            sim._dm_diagonal_pass(full, gate.phases(), gate.targets, n + 1, w)
-            blocks = [rho[:N, :N].copy(), rho[:N, N:].copy(), rho[N:, N:].copy()]
-            sim._dm_wire0_pass(blocks, gate.phases(), gate.targets, w)
-            for got, want in zip(blocks, (full[:N, :N], full[:N, N:], full[N:, N:])):
-                assert np.array_equal(got, want)
+            full = vec.copy()
+            sim._vec_diagonal_pass(full, gate.phases(), gate.targets, n + 1, w)
+            blocks = [vec.reshape(4, -1)[row].copy() for row in (0, 1, 3)]
+            sim._vec_wire0_pass(blocks, gate.phases(), gate.targets, w)
+            for got, row in zip(blocks, (0, 1, 3)):
+                assert np.array_equal(got, full.reshape(4, -1)[row])
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(6) for b in range(6) if a != b])
@@ -545,6 +546,49 @@ def test_noisy_pair_gates_on_six_qubits_match_pauli_sum(a, b):
             got = apply_circuit_noisy(rho, Circuit(m, [gate]), NoiseModel(p)).entries
             assert np.max(np.abs(got - want[i, j])) < 1e-13
     assert np.array_equal(rho.entries, before)
+
+
+# ------------------------------------------------------------ the vec(rho) layout
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_interleave_then_standard_layout_returns_rho_exactly(m):
+    rho = _random_density(m, np.random.default_rng(m)).entries
+    vec = sim._interleave(rho)
+    # entry (r_0 c_0 r_1 c_1 ...) of vec is rho[r, c]
+    i, r, c = np.arange(4 ** m), 0, 0
+    for q in range(m):
+        r = r | ((i >> (2 * m - 1 - 2 * q)) & 1) << (m - 1 - q)
+        c = c | ((i >> (2 * m - 2 - 2 * q)) & 1) << (m - 1 - q)
+    assert np.array_equal(vec, rho[r, c])
+    back = sim._standard_layout(vec, m)
+    assert np.shares_memory(back, vec)
+    assert np.array_equal(back, rho)
+
+
+def test_standard_layout_needs_no_second_array():
+    m = 9  # vec(rho) is 4 MiB: 64 buffers of 2^14 entries per axis swap
+    vec = sim._interleave(_random_density(m, np.random.default_rng(14)).entries)
+    tracemalloc.start()
+    try:
+        sim._standard_layout(vec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.15 * vec.nbytes
+
+
+@_PROPERTY
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m - 1))),
+       st.sampled_from(["H", "PHASEDX"]), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi),
+       st.integers(0, 2 ** 32 - 1))
+def test_interleaved_dense_pass_is_conjugation(case, kind, theta, phi, seed):
+    m, q = case
+    gate = hadamard(q) if kind == "H" else phased_x(theta, phi, q)
+    rho = _random_density(m, np.random.default_rng(seed)).entries
+    vec = sim._noisy_vec(sim._interleave(rho), Circuit(m, [gate]), 0.0)
+    op = _embed(gate.matrix(), (q,), m)
+    assert np.max(np.abs(sim._standard_layout(vec, m) - op @ rho @ op.conj().T)) < 1e-12
 
 
 # ------------------------------------------------- pure starts with basis-state wires
