@@ -58,7 +58,7 @@ def exact_reference(n: int, t: float) -> StateVector:
 def check_memory(n: int, noisy: bool, concurrent: int = 1) -> None:
     """Refuse `concurrent` runs at once on n spatial qubits whose working arrays would not fit in physical memory.
 
-    Peak RSS above the import baseline measured 1.27-1.42 density matrices (n = 8..10) and
+    Peak RSS above the import baseline measured 1.26-1.46 density matrices (n = 8..10) and
     8.6-11.3 statevectors (n = 16..21), hence 1.5 and 11 working copies of the state per run.
     """
     dim, kind = 2 ** (n + 1), "noisy" if noisy else "noiseless"
