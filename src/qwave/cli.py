@@ -45,12 +45,19 @@ def _parse_float_range(text: str) -> tuple[float, float]:
     return (float(lo), float(hi if hi else lo))
 
 
+def _parse_list(text: str, kind: type) -> tuple:
+    values = tuple(kind(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+    return values
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return _parse_list(text, float)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    return _parse_list(text, int)
 
 
 def _parse_bool(text: str) -> bool:
@@ -508,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = resolve_config(args)
         return args.func(config)
-    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

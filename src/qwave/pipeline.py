@@ -24,6 +24,7 @@ from .sim import (
     Gate,
     NoiseModel,
     StateVector,
+    _interleaved_outer,
     _noisy_vec,
     _vec_wire0_pass,
     apply_circuit,
@@ -166,7 +167,7 @@ def noisy_infidelity(n: int, t: float, p: float) -> float:
     fidelity = 0.0
     for a, b in ((0, 0), (0, 1), (1, 1)):
         block = _noisy_vec(blocks.pop(0), after, w)
-        term = np.vdot((chi[a].reshape([2, 1] * n) * chi[b].conj().reshape([1, 2] * n)).reshape(-1), block)
+        term = np.vdot(_interleaved_outer(chi[a], chi[b].conj(), n), block)
         fidelity += term.real if a == b else 2.0 * term.real
         del block
     return float(min(max(1.0 - fidelity, 0.0), 1.0))

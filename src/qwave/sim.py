@@ -26,10 +26,12 @@ wire's row and column bits side by side, (r_0, c_0, r_1, c_1, ...), as QuEST
 does (Jones et al., arXiv:1802.08032).  Wire q then owns one 4-valued axis
 Q_q = 2 r_q + c_q.  A dense gate U on wire q is the same kernel with
 U (x) conj(U) on that axis, in place: it overwrites vec(rho) slab by slab,
-1 MiB at a time.  A diagonal gate is one in-place multiply by
-(1 - w) D_r conj(D_c) on its targets' axes.  Every two-qubit gate is
-diagonal, and D on (a, b) leaves Tr_ab rho unchanged, so its channel folds
-into the same pass:
+1 MiB at a time.  H (x) conj(H) is real, so on rows of 16 or more entries H
+runs as a real matmul on the float view of vec(rho), with the complex
+product's bits at a quarter of its flops.  A diagonal gate is one in-place
+multiply by (1 - w) D_r conj(D_c) on its targets' axes.  Every two-qubit
+gate is diagonal, and D on (a, b) leaves Tr_ab rho unchanged, so its channel
+folds into the same pass:
 
     E(D rho D^dag) = (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab,  w = 16p/15,
 
@@ -65,6 +67,7 @@ DIAG = "DIAG"
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
+_H_VEC = np.kron(_H_MATRIX, _H_MATRIX.conj()).real  # H (x) conj(H) on vec(rho) is real: a real matmul
 
 _NUM_PARAMS = {HADAMARD: 0, RZ: 1, PHASEDX: 2, RZZ: 1, CPHASE: 1}
 _NUM_TARGETS = {HADAMARD: 1, RZ: 1, PHASEDX: 1, RZZ: 2, CPHASE: 2}
@@ -221,11 +224,18 @@ def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False
     With `in_place`, a C-contiguous amps is overwritten slab by slab, at most
     `_SLAB` entries at a time, and returned: no second array of its size is
     made.  Every slab takes the branch the whole array selects, and each
-    product sees the same operands, so both modes give the same bits.
+    product sees the same operands, so both modes give the same bits.  A real
+    `u` on complex amps gives the bits of its complex form; in place, on rows
+    of at least 16 entries, it runs as a real matmul on the float view of amps.
     """
     lead, dim = 2 ** q, len(u)
     rest = amps.size // (lead * dim)
     matmul = rest >= 16 or (rest >= 4 and lead <= 64)
+    real = u.dtype == np.float64  # H (x) conj(H) on vec(rho)
+    if real and not (in_place and rest >= 16):
+        # Elsewhere a real u runs in its complex form: at rest = 1 the real product, and numpy's
+        # mixed-type one, round differently from the short-row gemm.
+        u, real = u.astype(complex), False
     if not matmul:
         # Short rows: matmul loops over `lead` tiny products (~0.5 us each), and below rest = 4
         # it leaves BLAS gemm and rounds differently, which moves the BFGS path of state-prep
@@ -240,6 +250,10 @@ def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False
     # power of two, so a slab has a single row only when the whole array has.
     blocks = amps.reshape(lead, dim, rest, copy=False)
     step, width = max(1, _SLAB // (dim * rest)), min(rest, _SLAB // dim)
+    if real:
+        # The real u meets each complex entry as two floats: the products and sums of the complex
+        # matmul, bit for bit, at a quarter of its flops.
+        blocks, rest, width = blocks.view(np.float64), 2 * rest, 2 * width
     for i in range(0, lead, step):
         for j in range(0, rest, width):
             slab = blocks[i:i + step, :, j:j + width]
@@ -552,6 +566,29 @@ def _standard_layout(vec: np.ndarray, m: int, perm: Sequence[int] | None = None)
     return vec.reshape(2 ** m, 2 ** m)
 
 
+_LOW = 3  # wires whose (row, column) order `_interleaved_outer` gathers: inner loops of 4^3 entries
+
+
+def _interleaved_outer(a: np.ndarray, b_conj: np.ndarray, k: int) -> np.ndarray:
+    """vec(|a><b|) on k wires, a[r] b_conj[c] at the interleaved index (r_0, c_0, r_1, c_1, ...); a new array.
+
+    The low wires' (r, c) order is gathered from a and b_conj once, and the
+    product runs through a (r_high, c_high, low) view of the output, so each
+    inner loop covers 4^`_LOW` entries.  Each entry is the one product a
+    broadcast over 2k axes of length 2 makes, so the bits are the same.
+    """
+    low = min(k, _LOW)
+    high = k - low
+    bits = np.arange(2 ** low)
+    rows = np.broadcast_to(bits.reshape([2, 1] * low), [2] * (2 * low)).reshape(-1)
+    cols = np.broadcast_to(bits.reshape([1, 2] * low), [2] * (2 * low)).reshape(-1)
+    out = np.empty(4 ** k, dtype=np.result_type(a, b_conj))
+    view = out.reshape([2] * (2 * high) + [-1]).transpose([*range(0, 2 * high, 2), *range(1, 2 * high, 2), -1])
+    np.multiply(a.reshape(2 ** high, -1)[:, rows].reshape([2] * high + [1] * high + [-1]),
+                b_conj.reshape(2 ** high, -1)[:, cols].reshape([1] * high + [2] * high + [-1]), out=view)
+    return out
+
+
 def _insert_held(vec: np.ndarray, phi: np.ndarray, position: int) -> np.ndarray:
     """vec(rho) on k wires -> vec of the (k+1)-wire rho with |phi><phi| as its wire `position`; a new array."""
     return (vec.reshape(4 ** position, 1, -1) * np.outer(phi, phi.conj()).reshape(1, 4, 1)).reshape(-1)
@@ -568,7 +605,7 @@ def _noisy_vec(start: StateVector | np.ndarray, circuit: Circuit, w: float) -> n
     if isinstance(start, StateVector):
         held, amps = _basis_wires(start)
         k = amps.size.bit_length() - 1
-        vec = (amps.reshape([2, 1] * k) * amps.conj().reshape([1, 2] * k)).reshape(-1)
+        vec = _interleaved_outer(amps, amps.conj(), k)
     else:
         held, vec = {}, start
     live = [q for q in range(circuit.num_qubits) if q not in held]  # the wires of rho, in register order
@@ -587,7 +624,8 @@ def _noisy_vec(start: StateVector | np.ndarray, circuit: Circuit, w: float) -> n
         phases = gate.phases()
         if phases is None:  # U (x) conj(U) on the wire's (row, column) axes, in place
             u = gate.matrix()
-            _apply_dense(vec, np.kron(u, u.conj()), 2 * targets[0], in_place=True)
+            u = _H_VEC if gate.kind == HADAMARD else np.kron(u, u.conj())
+            _apply_dense(vec, u, 2 * targets[0], in_place=True)
         else:
             _vec_diagonal_pass(vec, phases, targets, len(live), w if gate.num_targets == 2 else 0.0)
     for q in sorted(held):

@@ -26,6 +26,10 @@ depolarizing share is a `sum()` of the four pair-diagonal views, and the end
 un-interleaves with a `transpose` copy.  The in-place, slab-by-slab library
 loop makes the same products, so it must match bit for bit.
 
+`interleaved_outer` is vec(|a><b|) as one broadcast over 2k axes of length
+2, each entry the one product a[r] b_conj[c]; `qwave.sim._interleaved_outer`
+makes the same products, so it must match bit for bit.
+
 `standard_layout_noisy` is the earlier engine on the (2^m, 2^m) rho: a row
 pass with U and a column pass with conj(U) per dense gate, and a diagonal
 pass over row classes.  It rounds differently from U (x) conj(U) in one
@@ -277,6 +281,11 @@ def standard_layout_noisy(start, circuit, p: float) -> np.ndarray:
         src = _permutation_source(m, tuple(circuit.final_permutation))
         entries = entries[np.ix_(src, src)]
     return entries
+
+
+def interleaved_outer(a: np.ndarray, b_conj: np.ndarray, k: int) -> np.ndarray:
+    """a[r] b_conj[c] at the interleaved index (r_0, c_0, r_1, c_1, ...) of k wires, by broadcasting."""
+    return (a.reshape([2, 1] * k) * b_conj.reshape([1, 2] * k)).reshape(-1)
 
 
 def _summed_vec_pass(vec: np.ndarray, phases: np.ndarray, targets, k: int, w: float) -> None:

@@ -176,6 +176,25 @@ def test_flags_and_files_share_choice_sets(tmp_path, capsys, command, key, value
     assert not (tmp_path / "run").exists()
 
 
+_LIST_OPTIONS = [f.name for f in fields(RunConfig) if f.metadata["parse"] in (_parse_floats, _parse_ints)]
+
+
+@pytest.mark.parametrize("value", [",", ""])
+@pytest.mark.parametrize("name", _LIST_OPTIONS)
+def test_empty_lists_are_refused(tmp_path, capsys, name, value):
+    """An empty --p would otherwise run the default levels: the flag exits 2, the file line 1."""
+    flag, out = SAMPLES[name][0][0], ["--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", flag, value, *out])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a comma-separated list, got {value!r}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    assert cli.main(["sweep", "--config", str(cfg), *out]) == 1
+    assert "expected a comma-separated list" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n = 3\nt = 0.5\nout = {tmp_path / 'out'}\nsvg = false\n")

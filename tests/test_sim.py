@@ -10,10 +10,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pure_density, purity, unitary
+from oracles import interleaved_outer, pure_density, purity, unitary
 from qwave import sim
 from qwave.sim import (
     Circuit,
@@ -204,9 +204,9 @@ def test_in_place_dense_kernel_spans_slabs_on_both_branches(dim):
 
 
 @st.composite
-def _dense_kernel_cases(draw):
+def _dense_kernel_cases(draw, dims=(2, 4)):
     """A register of 1-14 qubits, a dense gate of dim 2 or 4 on its wires q.., and a slab of 2^6-2^16 entries."""
-    dim = draw(st.sampled_from([2, 4]))
+    dim = draw(st.sampled_from(dims))
     m = draw(st.integers(dim // 2, 14))
     return m, draw(st.integers(0, m - dim // 2)), dim, 2 ** draw(st.integers(6, 16))
 
@@ -221,6 +221,23 @@ def test_in_place_dense_kernel_is_bit_identical_to_the_out_of_place_one(case, se
     with mock.patch.object(sim, "_SLAB", slab):
         _apply_dense(got, u, q, in_place=True)
     assert np.array_equal(got, _apply_dense(amps, u, q))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_dense_kernel_cases(dims=(4,)), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example((2, 0, 4, 64), True, 0)  # one wire of vec(rho): rest = 1, the short-row gemm
+@example((4, 0, 4, 64), True, 0)  # two wires: rest = 4 (q = 0) and rest = 1 (q = 2) stay complex
+@example((4, 2, 4, 64), True, 0)
+def test_real_h_on_vec_gives_the_bits_of_the_complex_product(case, in_place, seed):
+    m, q, _, slab = case
+    h = hadamard(0).matrix()
+    assert sim._H_VEC.dtype == np.float64 and np.array_equal(sim._H_VEC, np.kron(h, h.conj()))
+    amps = _random_complex(np.random.default_rng(seed), 2 ** m)
+    got, want = amps.copy(), amps.copy()
+    with mock.patch.object(sim, "_SLAB", slab):
+        got = _apply_dense(got, sim._H_VEC, q, in_place=in_place)
+        want = _apply_dense(want, np.kron(h, h.conj()), q, in_place=in_place)
+    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------- kernel property tests
@@ -589,6 +606,14 @@ def test_interleaved_dense_pass_is_conjugation(case, kind, theta, phi, seed):
     vec = sim._noisy_vec(sim._interleave(rho), Circuit(m, [gate]), 0.0)
     op = _embed(gate.matrix(), (q,), m)
     assert np.max(np.abs(sim._standard_layout(vec, m) - op @ rho @ op.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_interleaved_outer_is_bit_identical_to_the_broadcast(k):
+    """k <= sim._LOW has no high wires: the whole product is one gathered row."""
+    rng = np.random.default_rng(k)
+    a, b = _random_complex(rng, 2 ** k), _random_complex(rng, 2 ** k)
+    assert np.array_equal(sim._interleaved_outer(a, b.conj(), k), interleaved_outer(a, b.conj(), k))
 
 
 # ------------------------------------------------- pure starts with basis-state wires

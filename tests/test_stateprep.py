@@ -385,6 +385,21 @@ def test_training_follows_the_stacked_oracle_path_bit_for_bit(monkeypatch):
     assert (result.message, result.grad_norm) == (reference.message, reference.grad_norm)
 
 
+def test_training_at_n5_seed0_keeps_its_path(monkeypatch):
+    """Training's complex 4x4 blocks never take the dense kernel's real branch, which is H's on vec(rho)."""
+    import qwave.stateprep as stateprep
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return cost_and_gradient(*args)
+
+    monkeypatch.setattr(stateprep, "cost_and_gradient", counted)
+    result = optimize(build_ansatz(6), ricker_target(GridSpec(5)), OptimizerConfig(seed=0))
+    assert (result.iterations, len(calls)) == (607, 655)
+
+
 def test_optimizer_is_deterministic():
     ans = build_ansatz(3)
     target = ricker_target(GridSpec(2))
