@@ -21,12 +21,10 @@ from .compile import count, lower
 from .sim import (
     Circuit,
     DensityMatrix,
-    Gate,
     NoiseModel,
     StateVector,
     _interleaved_outer,
-    _noisy_vec,
-    _vec_wire0_pass,
+    _vec_gate,
     apply_circuit,
     apply_circuit_noisy,
     state_infidelity,
@@ -123,23 +121,24 @@ def circuit_infidelity(n: int, t: float) -> float:
     return state_infidelity(exact_reference(n, t), evolved)
 
 
-def _spatial(gates: list[Gate], n: int) -> Circuit:
-    """The gates of wires 1..n as a circuit on n qubits."""
-    return Circuit(n, [Gate(g.kind, tuple(q - 1 for q in g.targets), g.params, g.values) for g in gates])
+_ROWS = [(a, b) for a in (0, 1, 3) for b in range(4) if a == 1 or b != 2]  # rows (Q_0, Q_1) of rho carried
 
 
 def noisy_infidelity(n: int, t: float, p: float) -> float:
     """Infidelity of the noisy small-angle run on the exactly injected Ricker state.
 
     The state is injected, not prepared, so only the evolution's gates are noisy.
-    The run never forms the full rho, and works on vec(rho) throughout.  Wire 0
-    holds |0> and meets wires 1..n only in the diagonal block's pair gates
-    (0, q), so the spatial gates before them give sigma on n qubits and wire
-    0's own gates a 2-vector phi.  From there three wire-0 blocks
-    B_ab = phi_a phi_b^* sigma carry rho, as rho_10 = rho_01^dag: the pair
-    gates run on them through `_vec_wire0_pass`, then the QFT on each block in
-    place, and the wire-0 gates after the QFT fold into the target chi, so
-    F = <chi_0|B_00|chi_0> + <chi_1|B_11|chi_1> + 2 Re <chi_0|B_01|chi_1>.
+    The run never forms the full rho: it runs rows of vec(rho) keyed by the
+    4-valued axes Q_0, Q_1 of wires 0 and 1 through `_vec_gate`.  Wire 0 holds
+    |0> and meets wires 1..n only in the diagonal block's pair gates (0, q), so
+    the spatial gates before them give sigma on n qubits and wire 0's own gates
+    a 2-vector phi.  Wire 1 meets only diagonal gates between its first and
+    last two-qubit gates; its gates before those fold into the injected state,
+    and its gates after them, with wire 0's, into the target chi.  So no gate
+    mixes Q_1 (nor, after sigma, Q_0), and as rho is Hermitian, a row whose
+    mirror (each Q with its bits swapped) is kept is left out: sigma runs as 3
+    rows, rho as 10 of its 16 (B_ab = phi_a phi_b^* sigma).  F is the sum over
+    rows of c Re <chi_row, row>, c = 2 for a row whose mirror is left out.
     """
     circuit, w, N = evolution_circuit(n, t, mode="approx"), 16.0 * p / 15.0, 2 ** n
     gates = circuit.gates
@@ -148,28 +147,42 @@ def noisy_infidelity(n: int, t: float, p: float) -> float:
     if (circuit.final_permutation is not None or pairs != list(range(first, end))
             or any(g.num_targets != 2 or g.phases() is None for g in gates[first:end])):
         raise ValueError("the evolution circuit must couple wire 0 only in one run of diagonal pair gates")
-    phi, final = np.eye(2, dtype=complex)[0], np.eye(2, dtype=complex)
-    for g in gates[:first]:
-        if g.targets == (0,):
-            phi = g.matrix() @ phi
-    for g in gates[end:]:
-        if g.targets == (0,):
-            final = g.matrix() @ final
-    before = _spatial([g for g in gates[:first] if 0 not in g.targets], n)
-    sigma = _noisy_vec(StateVector(ricker_state(n).amplitudes[:N], check=False), before, w)
-    weights = np.outer(phi, phi.conj())
-    blocks = [sigma * weights[0, 0], sigma * weights[0, 1], np.multiply(sigma, weights[1, 1], out=sigma)]
-    del sigma
-    for g in gates[first:end]:
-        _vec_wire0_pass(blocks, g.phases(), g.targets, w)
-    after = _spatial([g for g in gates[end:] if 0 not in g.targets], n)
-    chi = final.conj().T @ exact_reference(n, t).amplitudes.reshape(2, N)
+    on1 = [i for i, g in enumerate(gates) if 1 in g.targets]
+    multi = [i for i in on1 if gates[i].num_targets > 1] or [len(gates)]
+    if any(gates[i].phases() is None for i in on1 if multi[0] < i < multi[-1]):
+        raise ValueError("spatial wire 0 must meet only diagonal gates between its first and last two-qubit gates")
+    runs = {(0,): range(first, end), (1,): range(multi[0], multi[-1] + 1)}  # each wire's two-qubit run
+    folded = [i for i, g in enumerate(gates) if g.targets in runs and i not in runs[g.targets]]
+    before, after = {q: np.eye(2, dtype=complex) for q in runs}, {q: np.eye(2, dtype=complex) for q in runs}
+    for i in folded:
+        side = before if i < runs[gates[i].targets].start else after
+        side[gates[i].targets] = gates[i].matrix() @ side[gates[i].targets]
+    phi = before[(0,)][:, 0]
+    psi = before[(1,)] @ ricker_state(n).amplitudes[:N].reshape(2, -1)
+    chi = np.einsum("ba,yx,byj->axj", after[(0,)].conj(), after[(1,)].conj(),
+                    exact_reference(n, t).amplitudes.reshape(2, 2, -1))
+    rows, spatial = np.empty((len(_ROWS), 4 ** (n - 1)), dtype=complex), [(0,), (1,), (3,)]
+    sigma = rows[:3]  # sigma's rows Q_1 sit in B_00's rows until B_00 = |phi_0|^2 sigma, formed last
+    for row, (b,) in zip(sigma, spatial):
+        row[...] = _interleaved_outer(psi[b // 2], psi[b % 2].conj(), n - 1)
+    for i, g in enumerate(gates[:first]):
+        if i not in folded:
+            _vec_gate(sigma, spatial, g, [q - 1 for q in g.targets], w)
+    bits, swap = [2] * (2 * n - 2), [x for q in range(n - 1) for x in (2 * q + 1, 2 * q)]
+    for row, (a, b) in reversed(list(zip(rows, _ROWS))):
+        if b == 2:  # sigma's Q_1 = 2 row: its Q_1 = 1 row with each wire's (r, c) bits swapped, conjugated
+            np.conjugate(sigma[1].reshape(bits).transpose(swap), out=row.reshape(bits))
+        elif a:
+            row[...] = sigma[spatial.index((b,))]
+        row *= phi[a // 2] * phi[a % 2].conj()
+    for i, g in enumerate(gates[first:], first):
+        if i not in folded:
+            _vec_gate(rows, _ROWS, g, g.targets, w)
     fidelity = 0.0
-    for a, b in ((0, 0), (0, 1), (1, 1)):
-        block = _noisy_vec(blocks.pop(0), after, w)
-        term = np.vdot(_interleaved_outer(chi[a], chi[b].conj(), n), block)
-        fidelity += term.real if a == b else 2.0 * term.real
-        del block
+    for row, (a, b) in zip(rows, _ROWS):
+        target = _interleaved_outer(chi[a // 2, b // 2], chi[a % 2, b % 2].conj(), n - 1)
+        term = np.vdot(target, row).real
+        fidelity += term if a in (0, 3) and b in (0, 3) else 2.0 * term
     return float(min(max(1.0 - fidelity, 0.0), 1.0))
 
 

@@ -46,6 +46,13 @@ That is exact because single-qubit gates are noiseless: until then the wire
 stays in a product with the rest, and each single-qubit gate on it updates its
 2-vector.  The injected wavefield holds wire 0 in |0>, so the inverse QFT runs
 on a 4x smaller rho.
+
+vec(rho) may also run as rows split on its leading wires, those that meet
+only diagonal gates: row i is its slice at the 4-valued axes keys[i] of those
+wires (`_vec_split_pass`).  The rows are a leading batch, so a gate on any
+other wire is one call of `_apply_dense` or `_vec_diagonal_pass` over all of
+them, and a gate on a split wire multiplies each row by that row's factor.  A
+sweep point uses this to leave out the rows that are mirrors of others.
 """
 
 from __future__ import annotations
@@ -218,7 +225,7 @@ def _apply_gate_array(amps: np.ndarray, u: np.ndarray, targets: Sequence[int], n
 _SLAB = 2 ** 16  # entries an in-place dense gate works on at once: 1 MiB of complex128
 
 
-def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False) -> np.ndarray:
+def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False, rows: int = 1) -> np.ndarray:
     """The dense branch of `_apply_gate_array`, unchecked: `u` on the wires q, q+1, ... of amps.
 
     With `in_place`, a C-contiguous amps is overwritten slab by slab, at most
@@ -227,10 +234,13 @@ def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False
     product sees the same operands, so both modes give the same bits.  A real
     `u` on complex amps gives the bits of its complex form; in place, on rows
     of at least 16 entries, it runs as a real matmul on the float view of amps.
+    In place, `rows` > 1 makes amps that many equal rows, a leading batch: `u`
+    acts on wires q, q+1, ... of each, on the branch one row selects, so each
+    row gets the bits of an in-place call on it alone.
     """
-    lead, dim = 2 ** q, len(u)
+    lead, dim = rows * 2 ** q, len(u)
     rest = amps.size // (lead * dim)
-    matmul = rest >= 16 or (rest >= 4 and lead <= 64)
+    matmul = rest >= 16 or (rest >= 4 and 2 ** q <= 64)
     real = u.dtype == np.float64  # H (x) conj(H) on vec(rho)
     if real and not (in_place and rest >= 16):
         # Elsewhere a real u runs in its complex form: at rest = 1 the real product, and numpy's
@@ -247,9 +257,10 @@ def _apply_dense(amps: np.ndarray, u: np.ndarray, q: int, in_place: bool = False
         out = np.matmul(u, amps.reshape(lead, dim, rest)) if matmul else amps.reshape(lead, dim * rest) @ wide
         return out.reshape(amps.shape)
     # A short-row slab keeps whole rows (width = rest), so its reshape is a view; `step` is a
-    # power of two, so a slab has a single row only when the whole array has.
+    # power of two, so it has a single lead only when each row of a batch has one (q = 0), and
+    # then every slab takes one: a one-row product rounds differently from a gemm over several.
     blocks = amps.reshape(lead, dim, rest, copy=False)
-    step, width = max(1, _SLAB // (dim * rest)), min(rest, _SLAB // dim)
+    step, width = (max(1, _SLAB // (dim * rest)) if matmul or q else 1), min(rest, _SLAB // dim)
     if real:
         # The real u meets each complex entry as two floats: the products and sums of the complex
         # matmul, bit for bit, at a quarter of its flops.
@@ -434,22 +445,26 @@ def _vec_factor(phases: np.ndarray, targets: Sequence[int], w: float) -> np.ndar
 
 
 def _grouped(wires: Sequence[int], k: int) -> list[int]:
-    """k 4-valued axes as (.., 4, .., 4, .., tail): the axes between the sorted `wires` grouped."""
+    """k 4-valued axes as (-1, 4, .., 4, .., tail): the axes between the sorted `wires` grouped, -1 with any rows."""
     bounds = [-1] + list(wires)
-    return [d for lo, hi in zip(bounds, bounds[1:]) for d in (4 ** (hi - lo - 1), 4)] + [4 ** (k - 1 - bounds[-1])]
+    dims = [d for lo, hi in zip(bounds, bounds[1:]) for d in (4 ** (hi - lo - 1), 4)] + [4 ** (k - 1 - bounds[-1])]
+    return [-1] + dims[1:]
 
 
 _RUN = 4  # trailing axes that a factor is spelled out over, so that no inner loop is shorter than 4^4
 
 
 def _scale(vec: np.ndarray, factor: np.ndarray, wires: Sequence[int], k: int) -> None:
-    """vec *= factor in place; factor is on the sorted `wires` of vec's k 4-valued axes, broadcast over the rest."""
-    cut = max(0, k - _RUN)
+    """vec *= factor in place; factor is on the sorted `wires` of vec's k 4-valued axes, broadcast over the rest.
+
+    factor's leading axis holds one factor for all of vec's rows, or one per row.
+    """
+    cut, rows = max(0, k - _RUN), len(factor)
     outer = [q for q in wires if q < cut]
-    run = factor.reshape([4] * len(outer) + [4 if q in wires else 1 for q in range(cut, k)])
-    run = np.broadcast_to(run, run.shape[:len(outer)] + (4,) * (k - cut))
-    view = vec.reshape(_grouped(outer, cut) + [4 ** (k - cut)], copy=False)
-    view *= run.reshape([1, 4] * len(outer) + [1, -1])
+    run = factor.reshape([rows] + [4] * len(outer) + [4 if q in wires else 1 for q in range(cut, k)])
+    run = np.broadcast_to(run, run.shape[:1 + len(outer)] + (4,) * (k - cut))
+    view = vec.reshape([rows] + _grouped(outer, cut) + [4 ** (k - cut)], copy=False)
+    view *= run.reshape([rows] + [1, 4] * len(outer) + [1, -1])
 
 
 def _share(diagonal: Sequence[np.ndarray], w: float) -> np.ndarray:
@@ -466,38 +481,72 @@ def _vec_diagonal_pass(vec: np.ndarray, phases: np.ndarray, targets: Sequence[in
     w > 0 only for a pair (a, b).  Every entry is multiplied by its factor.
     The share (w/4) Tr_ab rho, the sum of the four views with Q_a, Q_b in
     {0, 3}, is read before the multiply and added back onto them after it.
+    A vec of R 4^k entries is R rows, a leading batch, each passed on its own.
     """
     wires = sorted(targets)
     if w:
         every, view = slice(None), vec.reshape(_grouped(wires, k), copy=False)
         diagonal = [view[every, i, every, j, every] for i in (0, 3) for j in (0, 3)]
         share = _share(diagonal, w)
-    _scale(vec, _vec_factor(phases, targets, w), wires, k)
+    _scale(vec, _vec_factor(phases, targets, w)[None], wires, k)
     if w:
         for sub in diagonal:
             sub += share
 
 
-def _vec_wire0_pass(blocks: Sequence[np.ndarray], phases: np.ndarray, targets: Sequence[int], w: float) -> None:
-    """In place: `_vec_diagonal_pass` for a pair (0, q), on the wire-0 blocks (rho_00, rho_01, rho_11) of rho.
+def _vec_split_pass(rows: np.ndarray, keys: Sequence[tuple[int, ...]], phases: np.ndarray,
+                    targets: Sequence[int], w: float) -> None:
+    """In place: `_vec_diagonal_pass` on vec(rho) held as rows split on its leading wires.
 
-    Block ab is vec of the rows with wire 0 = a and the columns with wire 0 = b,
-    on wires 1..n, so it is the slice Q_0 = 2a + b of vec(rho); rho_10 =
-    rho_01^dag is left out.  Every entry gets the factor, share and summation
-    order of the full pass, so the blocks keep its bits.
+    Row i of the C-contiguous (R, 4^k) `rows` is the slice of vec(rho) at the
+    4-valued axes keys[i] of wires 0..s-1, so its entries are wires s..s+k-1.
+    Rows may be left out, as long as no kept row needs them in a channel share.
+    A gate off the split wires is one batched pass over all rows.  A gate on a
+    split wire multiplies each row by that row's own factor, and its share
+    sums, among the rows that agree on the other split wires, the rows whose
+    split targets are 0 or 3.  Every entry gets the full pass's factor, share
+    and summation order, so the rows keep its bits.
     """
-    q = max(targets) - 1  # the pair's other wire, as a wire of a block
-    k = (blocks[0].size.bit_length() - 1) // 2
+    s, k = len(keys[0]), (rows.size // len(keys)).bit_length() // 2
+    if not any(q < s for q in targets):
+        _vec_diagonal_pass(rows, phases, [q - s for q in targets], k, w)
+        return
+    wires = sorted(targets)
+    split, content = [q for q in wires if q < s], [q - s for q in wires if q >= s]
+    factor = _vec_factor(phases, targets, w)  # split targets first
+    if w:  # a pair: per group of rows, the four views with both targets' Q in {0, 3}, in wire order
+        index, every = {key: i for i, key in enumerate(keys)}, slice(None)
+        diagonals = []
+        for key in keys:
+            if any(key[q] for q in split):
+                continue  # each group once, at its row with the split targets at Q = 0
+            diagonal = []
+            for values in itertools.product((0, 3), repeat=2):
+                at = dict(zip(split, values))
+                row = rows[index[tuple(at.get(q, v) for q, v in enumerate(key))]]
+                view = row.reshape(_grouped(content, k), copy=False)
+                diagonal.append(view[tuple(x for v in values[len(split):] for x in (every, v))])
+            diagonals.append((diagonal, _share(diagonal, w)))
+    _scale(rows, np.array([factor[tuple(key[q] for q in split)] for key in keys]), content, k)
     if w:
-        views = [blocks[a].reshape(_grouped([q], k), copy=False) for a in (0, 2)]
-        diagonal = [view[:, j] for view in views for j in (0, 3)]
-        share = _share(diagonal, w)
-    factor = _vec_factor(phases, targets, w)  # [Q_0, Q_q]
-    for block, row in zip(blocks, (0, 1, 3)):
-        _scale(block, factor[row], [q], k)
-    if w:
-        for sub in diagonal:
-            sub += share
+        for diagonal, share in diagonals:
+            for sub in diagonal:
+                sub += share
+
+
+def _vec_gate(rows: np.ndarray, keys: Sequence[tuple[int, ...]], gate: Gate, targets: Sequence[int], w: float) -> None:
+    """In place: `gate` on `targets`, with its channel if it is a pair, on the split rows of `_vec_split_pass`.
+
+    A dense gate must miss the split wires: U (x) conj(U) on its wire's axis of
+    every row, in one batched call.  keys = [()] is the whole vec(rho).
+    """
+    phases = gate.phases()
+    if phases is None:
+        u = gate.matrix()
+        u = _H_VEC if gate.kind == HADAMARD else np.kron(u, u.conj())
+        _apply_dense(rows, u, 2 * (targets[0] - len(keys[0])), in_place=True, rows=len(keys))
+    else:
+        _vec_split_pass(rows, keys, phases, targets, w if gate.num_targets == 2 else 0.0)
 
 
 def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float, m: int) -> np.ndarray:
@@ -620,14 +669,7 @@ def _noisy_vec(start: StateVector | np.ndarray, circuit: Circuit, w: float) -> n
             position = bisect.bisect_left(live, q)
             vec = _insert_held(vec, held.pop(q), position)
             live.insert(position, q)
-        targets = tuple(live.index(t) for t in gate.targets)
-        phases = gate.phases()
-        if phases is None:  # U (x) conj(U) on the wire's (row, column) axes, in place
-            u = gate.matrix()
-            u = _H_VEC if gate.kind == HADAMARD else np.kron(u, u.conj())
-            _apply_dense(vec, u, 2 * targets[0], in_place=True)
-        else:
-            _vec_diagonal_pass(vec, phases, targets, len(live), w if gate.num_targets == 2 else 0.0)
+        _vec_gate(vec, [()], gate, [live.index(t) for t in gate.targets], w)
     for q in sorted(held):
         vec = _insert_held(vec, held[q], q)  # the held wires below q are inserted already
     return vec

@@ -184,6 +184,27 @@ def test_noisy_infidelity_refuses_a_circuit_that_couples_wire0_otherwise(monkeyp
         pipeline.noisy_infidelity(3, 0.5, 1e-3)
 
 
+def test_noisy_infidelity_refuses_a_dense_gate_inside_spatial_wire0s_two_qubit_run(monkeypatch):
+    circuit = pipeline.evolution_circuit(3, 0.5)
+    tail = next(i for i, g in enumerate(circuit.gates) if g.num_targets == 2 and 0 not in g.targets and 1 in g.targets
+                and i > max(j for j, h in enumerate(circuit.gates) if 0 in h.targets and h.num_targets == 2))
+    circuit.gates.insert(tail + 1, hadamard(1))
+    monkeypatch.setattr(pipeline, "evolution_circuit", lambda *args, **kwargs: circuit)
+    with pytest.raises(ValueError, match="spatial wire 0 must meet only diagonal gates between its first and last"):
+        pipeline.noisy_infidelity(3, 0.5, 1e-3)
+
+
+def test_noisy_sweep_point_peaks_below_one_density_matrix():
+    n = 9  # rows (Q_0, Q_1) of rho: 10 of 16 carried, 0.625 of its 16 MiB
+    tracemalloc.start()
+    try:
+        pipeline.sweep_point(n, 1.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 4 ** (n + 1)
+
+
 def test_noisy_sweep_point_peaks_below_one_point_two_density_matrices():
     n = 9  # the largest point of the noisy sweep: rho is 2^10 x 2^10, 16 MiB
     tracemalloc.start()

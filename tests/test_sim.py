@@ -532,17 +532,47 @@ def test_single_qubit_only_circuit_stays_pure_under_noise():
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.5])
 def test_wire0_pass_is_bit_identical_to_the_full_pass_block_by_block(n, p):
-    # the pass on the Q_0 = 0, 1, 3 slices of vec(rho) against `_vec_diagonal_pass` on the whole vec
+    # `_vec_split_pass` on rows of vec(rho) split on wire 0 (Q_0 = 0, 1, 3), then on wires 0 and 1
+    # (10 of the 16 rows (Q_0, Q_1)), against `_vec_diagonal_pass` on the whole vec
     rng, w = np.random.default_rng(n), 16.0 * p / 15.0
     vec = sim._interleave(_random_density(n + 1, rng).entries)
-    for q in range(1, n + 1):
-        for gate in (rzz(rng.uniform(-np.pi, np.pi), 0, q), cphase(rng.uniform(-np.pi, np.pi), q, 0)):
-            full = vec.copy()
-            sim._vec_diagonal_pass(full, gate.phases(), gate.targets, n + 1, w)
-            blocks = [vec.reshape(4, -1)[row].copy() for row in (0, 1, 3)]
-            sim._vec_wire0_pass(blocks, gate.phases(), gate.targets, w)
-            for got, row in zip(blocks, (0, 1, 3)):
-                assert np.array_equal(got, full.reshape(4, -1)[row])
+    angle = lambda: rng.uniform(-np.pi, np.pi)  # noqa: E731
+    wire0 = [g for q in range(1, n + 1) for g in (rzz(angle(), 0, q), cphase(angle(), q, 0))] + [rz(angle(), 0)]
+    both = [rzz(angle(), 0, 1), cphase(angle(), 1, 0), rz(angle(), 1)]
+    both += [g for q in range(2, n + 1) for g in (rzz(angle(), 0, q), cphase(angle(), q, 1))]
+    both += [cphase(angle(), n, 2), rzz(angle(), 2, n)] if n > 2 else []
+    wire01 = [(a, b) for a in (0, 1, 3) for b in range(4) if a == 1 or b != 2]
+    for keys, gates in (([(0,), (1,), (3,)], wire0), (wire01, both)):
+        index = [sum(v * 4 ** (len(key) - 1 - i) for i, v in enumerate(key)) for key in keys]
+        for gate in gates:
+            wg, full = w if gate.num_targets == 2 else 0.0, vec.copy()
+            sim._vec_diagonal_pass(full, gate.phases(), gate.targets, n + 1, wg)
+            rows = vec.reshape(4 ** len(keys[0]), -1)[index]
+            sim._vec_split_pass(rows, keys, gate.phases(), gate.targets, wg)
+            assert np.array_equal(rows, full.reshape(4 ** len(keys[0]), -1)[index]), (keys[0], gate.targets)
+
+
+@pytest.mark.parametrize("rows", [3, 10])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_a_batched_call_gives_every_row_the_bits_of_a_call_on_it_alone(rows, m):
+    # a batch raises the dense kernel's lead: past 64 where one row of rest = 4 takes the matmul
+    # branch, and past 1 at q = 0, where one row of rest = 1 is a one-row product
+    rng = np.random.default_rng(10 * m + rows)
+    batch = _random_complex(rng, (rows, 4 ** m))
+    px = phased_x(0.7, -0.3, 0).matrix()
+    for q in range(m):
+        for u in (sim._H_VEC, np.kron(px, px.conj())):
+            got = batch.copy()
+            assert _apply_dense(got, u, 2 * q, in_place=True, rows=rows) is got
+            for row, want in zip(got, batch.copy()):
+                assert np.array_equal(row, _apply_dense(want, u, 2 * q, in_place=True)), (q, u.dtype)
+        for gate in (rz(0.4, q), rzz(1.1, q, (q + m // 2) % m)) if m > 1 else (rz(0.4, q),):
+            w = 0.3 if gate.num_targets == 2 else 0.0
+            got = batch.copy()
+            sim._vec_diagonal_pass(got, gate.phases(), gate.targets, m, w)
+            for row, want in zip(got, batch.copy()):
+                sim._vec_diagonal_pass(want, gate.phases(), gate.targets, m, w)
+                assert np.array_equal(row, want), gate.targets
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(6) for b in range(6) if a != b])
