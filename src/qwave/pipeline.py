@@ -139,6 +139,7 @@ def noisy_infidelity(n: int, t: float, p: float) -> float:
     mirror (each Q with its bits swapped) is kept is left out: sigma runs as 3
     rows, rho as 10 of its 16 (B_ab = phi_a phi_b^* sigma).  F is the sum over
     rows of c Re <chi_row, row>, c = 2 for a row whose mirror is left out.
+    With no pair gate the state stays pure, and epsilon is the pure-state one.
     """
     circuit, w, N = evolution_circuit(n, t, mode="approx"), 16.0 * p / 15.0, 2 ** n
     gates = circuit.gates
@@ -151,6 +152,8 @@ def noisy_infidelity(n: int, t: float, p: float) -> float:
     multi = [i for i in on1 if gates[i].num_targets > 1] or [len(gates)]
     if any(gates[i].phases() is None for i in on1 if multi[0] < i < multi[-1]):
         raise ValueError("spatial wire 0 must meet only diagonal gates between its first and last two-qubit gates")
+    if not any(g.num_targets == 2 for g in gates):  # no channel acts (t = 0): rho stays pure, and 1 - F would cancel
+        return state_infidelity(exact_reference(n, t), simulate_noiseless(circuit, ricker_state(n)))
     runs = {(0,): range(first, end), (1,): range(multi[0], multi[-1] + 1)}  # each wire's two-qubit run
     folded = [i for i, g in enumerate(gates) if g.targets in runs and i not in runs[g.targets]]
     before, after = {q: np.eye(2, dtype=complex) for q in runs}, {q: np.eye(2, dtype=complex) for q in runs}

@@ -16,11 +16,12 @@ XX+YY+ZZ entangler, and a second ZYZ pair; zero angles give the identity, and
 the template covers SU(4) up to global phase (Cartan form).
 
 Training is bound by per-call overhead, not arithmetic, so the gradient is
-built in one batched pass: one `_euler` call makes the four one-wire factors
-of every block, the Kronecker products and partial products fill slices of
-preallocated arrays, and one gather and one batched matmul form every cross
-matrix.  Each product keeps the operands of a block-at-a-time build, so the
-gradients are bit-identical to it; the BFGS path moves with their last bits.
+built in a few calls over all blocks: one `_euler` call makes the four
+one-wire factors of every block, one multiply of two gathers their Kronecker
+products, and five gemms per block the rest (`_blocks`); one gather and one
+batched matmul form every cross matrix.  Each product keeps the operands of a
+block-at-a-time build, so the gradients are bit-identical to it; the BFGS
+path moves with their last bits.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ def build_ansatz(num_qubits: int, depth: int | None = None) -> BrickwallAnsatz:
 
 
 _Z_DIAG = np.array([1.0, -1.0])
+_MINUS_I_Z = -1j * _Z_DIAG
 _MINUS_I_GENERATORS = -1j * np.array(
     [
         np.fliplr(np.eye(4)),  # XX
@@ -131,76 +133,80 @@ _MINUS_I_GENERATORS = -1j * np.array(
         np.diag([1.0, -1.0, -1.0, 1.0]),  # ZZ
     ]
 )
+# (cos b, sin b) @ _RY_BASIS is Ry(b) = [[cos, -sin], [sin, cos]], then dRy/db, flat: exact, one term being 0
+_RY_BASIS = np.array([[1.0, 0, 0, 1, 0, -1, 1, 0], [0, -1, 1, 0, -1, 0, 0, -1]])
+_MINUS_I_Z_SIDES = np.array([np.broadcast_to(_MINUS_I_Z, (2, 2)), np.broadcast_to(_MINUS_I_Z[:, None], (2, 2))])
+_MIRROR = np.array([1.0, -1.0, -1.0, 1.0])  # W's diagonal entries take a - b, a + b, a + b, a - b
 
 
-def _euler(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rz(c) Ry(b) Rz(a) for angles (..., 3), with full-angle rotations, and its partials.
+def _euler(angles: np.ndarray) -> np.ndarray:
+    """Rz(c) Ry(b) Rz(a) for angles (..., 3), with full-angle rotations, and its partials, as (..., 4, 2, 2).
 
-    Covers SU(2) up to phase.  The partials (..., 3, 2, 2) insert each angle's
-    generator: E (-iZ), Rz(c) (-iY) Ry(b) Rz(a), and (-iZ) E.
+    Covers SU(2) up to phase.  E comes first, then the partials, which insert
+    each angle's generator: E (-iZ), Rz(c) (-iY) Ry(b) Rz(a), and (-iZ) E.
     """
-    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
-    left = np.exp(-1j * c[..., None] * _Z_DIAG)[..., None, :, None]
-    right = np.exp(-1j * a[..., None] * _Z_DIAG)[..., None, None, :]
-    cos_b, sin_b = np.cos(b), np.sin(b)
-    ry = np.empty(b.shape + (2, 2, 2))  # Ry(b) = [[cos, -sin], [sin, cos]] and its b-derivative
-    ry[..., 0, 0, 0] = ry[..., 0, 1, 1] = ry[..., 1, 1, 0] = cos_b
-    ry[..., 0, 1, 0] = sin_b
-    ry[..., 0, 0, 1] = ry[..., 1, 0, 0] = ry[..., 1, 1, 1] = -sin_b
-    ry[..., 1, 0, 1] = -cos_b
-    out = np.empty(b.shape + (4, 2, 2), dtype=complex)  # E, then its three partials
+    b = angles[..., 1]
+    phases = np.exp(angles[..., 0::2, None] * _MINUS_I_Z)  # the diagonals of Rz(a) and Rz(c)
+    right, left = phases[..., None, 0, None, :], phases[..., None, 1, :, None]
+    trig = np.empty(b.shape + (2,))
+    np.cos(b, out=trig[..., 0])
+    np.sin(b, out=trig[..., 1])
+    ry = (trig.reshape(-1, 2) @ _RY_BASIS).reshape(b.shape + (2, 2, 2))
+    out = np.empty(b.shape + (4, 2, 2), dtype=complex)
     np.multiply(left * ry, right, out=out[..., 0::2, :, :])  # E and its b-partial
-    e = out[..., 0, :, :]
-    minus_i_z = -1j * _Z_DIAG
-    np.multiply(e, minus_i_z, out=out[..., 1, :, :])
-    np.multiply(minus_i_z[:, None], e, out=out[..., 3, :, :])
-    return e, out[..., 1:, :, :]
+    np.multiply(out[..., 0, None, :, :], _MINUS_I_Z_SIDES, out=out[..., 1::2, :, :])  # exact: E (-iZ), (-iZ) E
+    return out
 
 
 def _entangler(angles: np.ndarray) -> np.ndarray:
     """exp(-i (a XX + b YY + c ZZ)) for angles (..., 3), in closed form (XX, YY, ZZ commute)."""
-    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
-    w = np.zeros(a.shape + (4, 4), dtype=complex)
-    outer, inner = np.exp(-1j * c), np.exp(1j * c)
-    w[..., 0, 0] = w[..., 3, 3] = outer * np.cos(a - b)
-    w[..., 0, 3] = w[..., 3, 0] = -1j * outer * np.sin(a - b)
-    w[..., 1, 1] = w[..., 2, 2] = inner * np.cos(a + b)
-    w[..., 1, 2] = w[..., 2, 1] = -1j * inner * np.sin(a + b)
-    return w
+    a, b, c = angles[..., 0, None], angles[..., 1, None], angles[..., 2, None]
+    half, phases = a - b * _MIRROR, np.exp(-1j * (c * _MIRROR))
+    w = np.zeros(a.shape[:-1] + (16,), dtype=complex)
+    np.multiply(phases, np.cos(half), out=w[..., ::5])  # the diagonal
+    np.multiply(-1j * phases, np.sin(half), out=w[..., 3:13:3])  # the antidiagonal
+    return w.reshape(a.shape[:-1] + (4, 4))
 
 
-def _kron22(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Kronecker products of stacked 2x2 matrices into out (..., 2, 2, 2, 2), read as (..., 4, 4)."""
-    np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], out=out)
+def _kron_gather(index: np.ndarray) -> np.ndarray:
+    """Flat `index` (side, product, i1, i2, j1, j2): the pre side side by side, (i, product, j), then the post's."""
+    index = np.broadcast_to(index, (2, 7, 2, 2, 2, 2))
+    return np.concatenate([index[0].transpose(1, 2, 0, 3, 4).ravel(), index[1].ravel()])
 
 
+# Where the factors of each side's seven Kronecker products (E1 x E2, E1's partials x E2, then E1 x E2's
+# partials) sit in a block's flat `_euler` output: B1, B2, A1, A2; E and its partials; row; column.
+_FLAT = np.arange(64).reshape(4, 4, 2, 2)
+_KRON_FIRST = _kron_gather(_FLAT[0::2, [0, 1, 2, 3, 0, 0, 0], :, None, :, None])
+_KRON_SECOND = _kron_gather(_FLAT[1::2, [0, 0, 0, 0, 1, 2, 3], None, :, None, :])
 _EULER_ANGLES = np.r_[0:6, 9:15]  # B1, B2, A1, A2: three angles each
+_GENERATOR_ROW = np.concatenate(_MINUS_I_GENERATORS, axis=1)  # [G_XX | G_YY | G_ZZ]
 
 
 def _blocks(per_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unitaries (B, 4, 4) of blocks with angles (B, 15), and their partials (B, 15, 4, 4).
 
     A block is (A1 x A2) W (B1 x B2) with B1, B2 on angles 0..5, W on 6..8 and
-    A1, A2 on 9..14; each partial differentiates one factor in place.
+    A1, A2 on 9..14; each partial differentiates one factor in place.  The
+    Kronecker products are one multiply of two gathers, and a block's other
+    products five gemms: post W, W pre, post W times [pre | its six partials],
+    and [post G_XX; post G_YY; post G_ZZ] and the six post partials, stacked,
+    times W pre.  Each entry is the product, or dot product, that a build one
+    matrix at a time makes, so the bits are the same.
     """
     count = len(per_block)
-    e, de = _euler(per_block[:, _EULER_ANGLES].reshape(count, 4, 3))
+    factors = _euler(per_block[:, _EULER_ANGLES].reshape(count, 4, 3)).reshape(count, -1)
     w = _entangler(per_block[:, 6:9])
-    krons = np.empty((count, 2, 2, 2, 2, 2), dtype=complex)  # B1 x B2, A1 x A2
-    _kron22(e[:, 0::2], e[:, 1::2], krons)
-    # per side (pre, post): the first factor's three partials, then the second's
-    partial_krons = np.empty((count, 2, 2, 3, 2, 2, 2, 2), dtype=complex)
-    _kron22(de[:, 0::2], e[:, 1::2, None], partial_krons[:, :, 0])
-    _kron22(e[:, 0::2, None], de[:, 1::2], partial_krons[:, :, 1])
-    krons = krons.reshape(count, 2, 4, 4)
-    partial_krons = partial_krons.reshape(count, 2, 6, 4, 4)
-    pre, post = krons[:, 0], krons[:, 1]
-    post_w, w_pre = (post @ w)[:, None], (w @ pre)[:, None]
+    krons = factors[:, _KRON_FIRST] * factors[:, _KRON_SECOND]
+    pre_side, post = krons[:, :112].reshape(count, 4, 28), krons[:, 112:128].reshape(count, 4, 4)
+    post_w, w_pre = post @ w, w @ pre_side[:, :, :4]
+    side = post_w @ pre_side  # U, then partials 0..5
     partials = np.empty((count, BLOCK_PARAMS, 4, 4), dtype=complex)
-    np.matmul(post_w, partial_krons[:, 0], out=partials[:, 0:6])
-    np.matmul(post[:, None] @ _MINUS_I_GENERATORS, w_pre, out=partials[:, 6:9])
-    np.matmul(partial_krons[:, 1], w_pre, out=partials[:, 9:15])
-    return post_w[:, 0] @ pre, partials
+    partials[:, 0:6] = side[:, :, 4:].reshape(count, 4, 6, 4).transpose(0, 2, 1, 3)
+    generators = (post @ _GENERATOR_ROW).reshape(count, 4, 3, 4).transpose(0, 2, 1, 3).reshape(count, 12, 4)
+    np.matmul(generators, w_pre, out=partials[:, 6:9].reshape(count, 12, 4))
+    np.matmul(krons[:, 128:].reshape(count, 24, 4), w_pre, out=partials[:, 9:].reshape(count, 24, 4))
+    return side[:, :, :4], partials
 
 
 def ansatz_to_circuit(ansatz: BrickwallAnsatz, theta: np.ndarray) -> Circuit:
@@ -346,14 +352,16 @@ def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     """In place, H <- H - r (s Hy^T + Hy s^T) + (r^2 y.Hy + r) s s^T with r = 1/s.y (Nocedal & Wright eq. 6.17).
 
     That is H + s v^T + v s^T with v = (r^2 y.Hy + r)/2 s - r Hy, added a band of rows at a time: the
-    temporaries stay near 2^15 entries at any size of H, and no pass reads an array transposed.
+    temporaries stay near 2^15 entries at any size of H, and only an H of one band, which adds v s^T
+    as the transpose of s v^T (the same products), reads an array transposed.
     """
     r, hy = 1.0 / (s @ y), h @ y
     v = (0.5 * r * (r * (y @ hy) + 1.0)) * s - r * hy
     rows = max(1, 2 ** 15 // len(s))
     for band in (slice(i, i + rows) for i in range(0, len(s), rows)):
-        h[band] += s[band, None] * v
-        h[band] += v[band, None] * s
+        outer = s[band, None] * v
+        h[band] += outer
+        h[band] += outer.T if rows >= len(s) else v[band, None] * s
 
 
 def _bfgs(fun, x: np.ndarray, max_iters: int, callback) -> tuple[np.ndarray, int, str]:

@@ -171,6 +171,17 @@ def test_noisy_infidelity_on_wire0_blocks_matches_the_full_density_matrix(n):
             assert abs(pipeline.noisy_infidelity(n, t, p) - full) <= 1e-15
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_noisy_infidelity_without_pair_gates_is_the_pure_state_one(n):
+    # at t = 0 the circuit is empty: no channel acts, so epsilon is the pure-state value near 1e-32,
+    # not the rounding noise of 1 - F
+    assert not any(g.num_targets == 2 for g in pipeline.evolution_circuit(n, 0.0).gates)
+    exact = pipeline.circuit_infidelity(n, 0.0)
+    assert exact < 1e-30
+    for p in (0.0, 1e-4, 1e-3, 0.5, 1.0):
+        assert pipeline.noisy_infidelity(n, 0.0, p) == exact
+
+
 @pytest.mark.parametrize("shape", ["one_diagonal_on_every_wire", "wire0_gate_between_pair_gates"])
 def test_noisy_infidelity_refuses_a_circuit_that_couples_wire0_otherwise(monkeypatch, shape):
     if shape == "one_diagonal_on_every_wire":

@@ -368,6 +368,24 @@ def test_blocks_and_gradient_are_bit_identical_to_the_stacked_oracle(n):
             assert value == value_ref and np.array_equal(grad, grad_ref)
 
 
+@pytest.mark.parametrize("m, depth", [(2, 1), (3, 2), (5, 3), (5, 5), (6, 5), (8, 1), (8, 4)])
+def test_blocks_and_gradient_match_the_stacked_oracle_at_any_shape(m, depth):
+    # a single block, odd registers, depth 5 and m = 8: the grouped products see each block's operands
+    # side by side or stacked, whatever the number of blocks
+    ans = BrickwallAnsatz(m, depth)
+    target = _random_target(m, np.random.default_rng(m + 10 * depth))
+    for scale in (1e-3, 1.0, 10.0):
+        for seed in range(3):
+            theta = np.random.default_rng(seed).uniform(-scale, scale, ans.num_params)
+            per_block = theta.reshape(-1, BLOCK_PARAMS)
+            u, partials = _blocks(per_block)
+            u_ref, partials_ref = stacked_blocks(per_block)
+            assert np.array_equal(u, u_ref) and np.array_equal(partials, partials_ref)
+            value, grad = cost_and_gradient(ans, theta, target)
+            value_ref, grad_ref = stacked_cost_and_gradient(ans, theta, target)
+            assert value == value_ref and np.array_equal(grad, grad_ref)
+
+
 # -------------------------------------------------------------------- optimizer
 
 
@@ -582,6 +600,21 @@ def test_bfgs_update_keeps_h_symmetric_positive_definite_and_meets_the_secant_eq
     assert np.max(np.abs(h - h.T)) <= 1e-12 * scale
     assert np.linalg.norm(h @ y - s) <= 1e-9 * (np.linalg.norm(s) + scale * np.linalg.norm(y))
     assert np.min(np.linalg.eigvalsh((h + h.T) / 2.0)) > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 120, 181, 182, 400])
+def test_bfgs_update_adds_both_outer_products_bit_for_bit(dim):
+    # up to dim 181 H is one band, and v s^T is added as the transpose of s v^T; from 182 on, bands
+    rng = np.random.default_rng(dim)
+    h = rng.standard_normal((dim, dim))
+    h, s, y = h + h.T, rng.standard_normal(dim), rng.standard_normal(dim)
+    want = h.copy()
+    r, hy = 1.0 / (s @ y), want @ y
+    v = (0.5 * r * (r * (y @ hy) + 1.0)) * s - r * hy
+    want += s[:, None] * v
+    want += v[:, None] * s
+    _bfgs_update(h, s, y)
+    assert np.array_equal(h, want)
 
 
 def test_bfgs_holds_one_inverse_hessian_and_no_full_size_temporary():
