@@ -237,7 +237,7 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _evolve(config: RunConfig, p: float):
-    """One evolution run from the prep source (--prep): the final state, noisy if p > 0."""
+    """One evolution run from the prep source (--prep): the final state, noisy if p > 0 and a channel acts."""
     if config.prep == "exact":
         prep, initial = None, pipeline.ricker_state(config.n)
     else:
@@ -246,7 +246,7 @@ def _evolve(config: RunConfig, p: float):
             raise ValueError(f"checkpoint is for n={checkpoint.n}, run asked for n={config.n}")
         prep, initial = pipeline.prep_circuit(checkpoint), None
     circuit = pipeline.evolution_circuit(config.n, config.t, config.mode, prep)
-    if p > 0.0:
+    if p > 0.0 and any(g.num_targets > 1 for g in circuit.gates):  # else rho stays pure, and 1 - F would cancel
         return pipeline.simulate_noisy(circuit, p, initial)
     return pipeline.simulate_noiseless(circuit, initial)
 

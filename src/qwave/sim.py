@@ -358,13 +358,11 @@ class Circuit:
 class StateVector:
     """Normalized pure state on `num_qubits` qubits (qubit 0 = most significant bit)."""
 
-    def __init__(self, amplitudes: np.ndarray, check: bool = True):
+    def __init__(self, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         n = int(round(math.log2(amplitudes.size)))
         if 2 ** n != amplitudes.size or amplitudes.ndim != 1:
             raise ValueError("amplitude array length must be a power of two")
-        if check and abs(np.vdot(amplitudes, amplitudes).real - 1.0) > 1e-6:
-            raise ValueError("state vector must be normalized")
         self.num_qubits = n
         self.amplitudes = amplitudes
 
@@ -372,7 +370,7 @@ class StateVector:
     def zero(cls, num_qubits: int) -> "StateVector":
         amps = np.zeros(2 ** num_qubits, dtype=complex)
         amps[0] = 1.0
-        return cls(amps, check=False)
+        return cls(amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -382,25 +380,13 @@ class StateVector:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite density operator.
+    """Hermitian, unit-trace, positive semidefinite density operator."""
 
-    `check=False` skips the three checks for a matrix valid by construction.
-    """
-
-    def __init__(self, entries: np.ndarray, check: bool = True):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=complex)
         n = int(round(math.log2(entries.shape[0])))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or 2 ** n != entries.shape[0]:
             raise ValueError("density matrix must be square with power-of-two dimension")
-        if check:
-            if abs(np.trace(entries).real - 1.0) > 1e-8 or abs(np.trace(entries).imag) > 1e-8:
-                raise ValueError("density matrix must have unit trace")
-            if np.max(np.abs(entries - entries.conj().T)) > 1e-8:
-                raise ValueError("density matrix must be Hermitian")
-            try:
-                np.linalg.cholesky(entries + 1e-8 * np.eye(entries.shape[0]))
-            except np.linalg.LinAlgError:
-                raise ValueError("density matrix must be positive semidefinite") from None
         self.num_qubits = n
         self.entries = entries
 
@@ -434,7 +420,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run `circuit` on a pure state (noiseless)."""
     if state.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit act on different register sizes")
-    return StateVector(_run_circuit(state.amplitudes, circuit), check=False)
+    return StateVector(_run_circuit(state.amplitudes, circuit))
 
 
 def _vec_factor(phases: np.ndarray, targets: Sequence[int], w: float) -> np.ndarray:
@@ -688,7 +674,7 @@ def apply_circuit_noisy(start: StateVector | DensityMatrix, circuit: Circuit, no
     if isinstance(start, DensityMatrix):
         start = _interleave(start.entries)
     vec = _noisy_vec(start, circuit, 16.0 * noise.p / 15.0)
-    return DensityMatrix(_standard_layout(vec, circuit.num_qubits, circuit.final_permutation), check=False)
+    return DensityMatrix(_standard_layout(vec, circuit.num_qubits, circuit.final_permutation))
 
 
 def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int) -> np.ndarray:

@@ -65,7 +65,7 @@ def _evolve(psi0: np.ndarray, phi0: np.ndarray, t: float, frequencies: np.ndarra
     c_psi, c_phi = dft(np.stack([psi0, phi0]) / norm, "inverse")
     cos, sin = np.cos(t * frequencies), np.sin(t * frequencies)
     sectors = dft(np.stack([c_psi * cos - 1j * c_phi * sin, c_phi * cos - 1j * c_psi * sin]), "forward")
-    return StateVector(sectors.ravel(), check=False)
+    return StateVector(sectors.ravel())
 
 
 def exact_evolve(psi0: np.ndarray, phi0: np.ndarray, t: float) -> StateVector:

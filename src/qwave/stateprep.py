@@ -80,7 +80,7 @@ def ricker_target(grid: GridSpec, params: RickerParams = RickerParams()) -> Stat
     """Normalized full-register state: Ricker samples in the qubit-0=|0> sector, zero velocity sector."""
     psi = ricker_wavefield(grid, params)
     amps = np.concatenate([psi, np.zeros_like(psi)]).astype(complex)
-    return StateVector(amps / np.linalg.norm(amps), check=False)
+    return StateVector(amps / np.linalg.norm(amps))
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def _forward_states(ansatz: BrickwallAnsatz, blocks_u: np.ndarray) -> np.ndarray
 def prepare_state(ansatz: BrickwallAnsatz, theta: np.ndarray) -> StateVector:
     """U(theta)|0...0> via direct 4x4 block application (no gate lowering)."""
     blocks_u, _ = _blocks(_validated_theta(ansatz, theta).reshape(-1, BLOCK_PARAMS))
-    return StateVector(_forward_states(ansatz, blocks_u)[-1], check=False)
+    return StateVector(_forward_states(ansatz, blocks_u)[-1])
 
 
 def _check_target(ansatz: BrickwallAnsatz, target: StateVector) -> None:

@@ -8,6 +8,10 @@ error, and the per-outcome statistics of a shot histogram.
 `smallangle_evolve` is the spectral route with the linearized frequencies
 2 pi k, the FFT evolution of `exact_evolve` with other phases.
 
+`validated` holds the checks that a physical state passes and that the
+state classes leave to their callers: a normalized `StateVector`, and a
+unit-trace, Hermitian, positive semidefinite `DensityMatrix`.
+
 `unitary` is a circuit's dense matrix: the library's own gate loop run on the
 identity, so the circuit tests read every gate, relabeling and phase at once.
 `cost` is the prep cost 1 - Re <target|U(theta)|0...0> from `prepare_state`,
@@ -95,7 +99,25 @@ def purity(rho) -> float:
 def pure_density(state: StateVector) -> DensityMatrix:
     """|psi><psi| of a pure state."""
     a = state.amplitudes
-    return DensityMatrix(np.outer(a, a.conj()), check=False)
+    return DensityMatrix(np.outer(a, a.conj()))
+
+
+def validated(state: StateVector | DensityMatrix) -> StateVector | DensityMatrix:
+    """`state` itself, or a ValueError for the first check of a physical state it fails."""
+    if isinstance(state, StateVector):
+        if abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) > 1e-6:
+            raise ValueError("state vector must be normalized")
+        return state
+    entries = state.entries
+    if abs(np.trace(entries).real - 1.0) > 1e-8 or abs(np.trace(entries).imag) > 1e-8:
+        raise ValueError("density matrix must have unit trace")
+    if np.max(np.abs(entries - entries.conj().T)) > 1e-8:
+        raise ValueError("density matrix must be Hermitian")
+    try:
+        np.linalg.cholesky(entries + 1e-8 * np.eye(entries.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix must be positive semidefinite") from None
+    return state
 
 
 def smallangle_evolve(psi0: np.ndarray, t: float) -> StateVector:

@@ -284,6 +284,16 @@ def test_evolve_with_shots_and_noise(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evolve_at_t0_prints_the_pure_state_epsilon_under_noise(tmp_path, capsys):
+    # t = 0 emits no gate, so no channel acts: --p runs the state noiselessly, and does not
+    # print the rounding noise of 1 - F (0 where the pure-state value is 2.992e-32)
+    printed = []
+    for p in ("0", "1e-3"):
+        assert cli.main(["evolve", "--n", "4", "--t", "0", "--p", p, "--out", str(tmp_path), "--no-svg"]) == 0
+        printed.append(capsys.readouterr().out.split("infidelity=")[1].split()[0])
+    assert printed == ["2.992e-32", "2.992e-32"]
+
+
 def test_evolve_shots_give_every_populated_point_an_error_bar(tmp_path, capsys):
     # a grid point that drew no shot still has a sampling error
     rc = cli.main(["evolve", "--n", "6", "--mode", "exact", "--shots", "20000", "--seed", "7",

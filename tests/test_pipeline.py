@@ -13,7 +13,16 @@ import pytest
 
 from oracles import out_of_place_noisy, pure_density, purity, smallangle_evolve, standard_layout_noisy
 from qwave import pipeline
-from qwave.sim import Circuit, DensityMatrix, NoiseModel, StateVector, apply_circuit_noisy, hadamard, state_infidelity
+from qwave.sim import (
+    CPHASE,
+    Circuit,
+    DensityMatrix,
+    NoiseModel,
+    StateVector,
+    apply_circuit_noisy,
+    hadamard,
+    state_infidelity,
+)
 from qwave.spectral import dft, exact_evolve, infidelity_model
 from qwave.stateprep import (
     Checkpoint,
@@ -243,6 +252,21 @@ def test_noiseless_circuit_at_a_generic_time_matches_model_and_fourth_order_law(
     for n, eps in zip(ns, measured):
         assert eps == pytest.approx(pipeline.model_epsilon(n, t)[0], rel=1e-5)
     assert pipeline.loglog_slope([2 ** n for n in ns], measured) == pytest.approx(-4.0, abs=0.3)
+
+
+def test_generic_times_catch_a_qft_without_its_small_angles():
+    # drop every CPHASE below pi/8 from both QFTs: 6 of 30 at n = 6, 12 of 42 at n = 7
+    for n, dropped in ((6, 6), (7, 12)):
+        for t in (0.1, 0.37):
+            circuit = pipeline.evolution_circuit(n, t)
+            kept = [g for g in circuit.gates if g.kind != CPHASE or abs(g.params[0]) >= np.pi / 8]
+            assert len(circuit.gates) - len(kept) == dropped
+            mutant = Circuit(n + 1, kept, circuit.global_phase, circuit.final_permutation)
+            model = pipeline.model_epsilon(n, t)[0]
+            assert pipeline.circuit_infidelity(n, t) == pytest.approx(model, rel=1e-6)
+            eps = state_infidelity(pipeline.exact_reference(n, t),
+                                   pipeline.simulate_noiseless(mutant, pipeline.ricker_state(n)))
+            assert eps >= 10 * model
 
 
 def test_smoothly_periodic_input_converges_as_n_to_the_minus_four():

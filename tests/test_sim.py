@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import interleaved_outer, pure_density, purity, unitary
+from oracles import interleaved_outer, pure_density, purity, unitary, validated
 from qwave import sim
 from qwave.sim import (
     Circuit,
@@ -399,10 +399,10 @@ def test_identity_permutation_is_canonicalized_away():
 
 
 def test_statevector_validation_and_helpers():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]))  # unnormalized
-    with pytest.raises(ValueError):
-        StateVector(np.ones(3) / math.sqrt(3))  # not a power of two
+    with pytest.raises(ValueError, match="normalized"):
+        validated(StateVector(np.array([1.0, 1.0])))
+    with pytest.raises(ValueError, match="power of two"):
+        StateVector(np.ones(3) / math.sqrt(3))
     zero = StateVector.zero(3)
     assert zero.num_qubits == 3 and zero.amplitudes[0] == 1.0
     assert zero.norm() == pytest.approx(1.0)
@@ -411,15 +411,17 @@ def test_statevector_validation_and_helpers():
 
 def test_density_matrix_validation_and_helpers():
     rng = np.random.default_rng(6)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(4))  # trace 4
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    with pytest.raises(ValueError, match="power-of-two dimension"):
+        DensityMatrix(np.eye(3) / 3)
+    with pytest.raises(ValueError, match="unit trace"):
+        validated(DensityMatrix(np.eye(4)))
+    with pytest.raises(ValueError, match="Hermitian"):
+        validated(DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]])))
     with pytest.raises(ValueError, match="positive semidefinite"):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # Hermitian, unit trace, not positive
+        validated(DensityMatrix(np.diag([1.5, -0.5]).astype(complex)))  # Hermitian, unit trace, not positive
     pure = pure_density(_random_state(2, rng))
     assert purity(pure) == pytest.approx(1.0)
-    DensityMatrix(pure.entries)  # a pure state's projector passes every check
+    validated(DensityMatrix(pure.entries))  # a pure state's projector passes every check
     mixed = _random_density(2, rng)
     assert purity(mixed) < 1.0
     assert np.trace(mixed.entries).real == pytest.approx(1.0)
@@ -493,7 +495,7 @@ def test_channel_never_increases_purity():
     rng = np.random.default_rng(9)
     for p in (0.01, 0.2, 0.9):
         rho = pure_density(_random_state(3, rng))
-        out = DensityMatrix(depolarize_pair(rho.entries, 0, 2, p, 3), check=False)
+        out = DensityMatrix(depolarize_pair(rho.entries, 0, 2, p, 3))
         assert purity(out) <= purity(rho) + 1e-12
 
 

@@ -482,7 +482,7 @@ def test_optimizer_prices_the_start_point_once(monkeypatch):
 
 def test_optimizer_raises_on_non_finite_cost():
     ans = build_ansatz(2)
-    bad = StateVector(np.array([math.nan, 0, 0, 0], dtype=complex), check=False)
+    bad = StateVector(np.array([math.nan, 0, 0, 0], dtype=complex))
     with pytest.raises(FloatingPointError):
         optimize(ans, bad, OptimizerConfig(max_iters=10, seed=0))
 
