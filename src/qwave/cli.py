@@ -237,18 +237,24 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _evolve(config: RunConfig, p: float):
-    """One evolution run from the prep source (--prep): the final state, noisy if p > 0 and a channel acts."""
-    if config.prep == "exact":
-        prep, initial = None, pipeline.ricker_state(config.n)
-    else:
+    """One evolution run from the prep source (--prep): the final state, noisy if p > 0 and a channel acts.
+
+    Priced that way before any array of the register's size exists: a noisy run's approx circuit holds
+    none, and an exact-mode circuit holds its diagonal but runs noiselessly, so it is built after that.
+    """
+    prep = None
+    if config.prep != "exact":
         checkpoint = Checkpoint.load(config.prep)
         if checkpoint.n != config.n:
             raise ValueError(f"checkpoint is for n={checkpoint.n}, run asked for n={config.n}")
-        prep, initial = pipeline.prep_circuit(checkpoint), None
-    circuit = pipeline.evolution_circuit(config.n, config.t, config.mode, prep)
-    if p > 0.0 and any(g.num_targets > 1 for g in circuit.gates):  # else rho stays pure, and 1 - F would cancel
-        return pipeline.simulate_noisy(circuit, p, initial)
-    return pipeline.simulate_noiseless(circuit, initial)
+        prep = pipeline.prep_circuit(checkpoint)
+    circuit = pipeline.evolution_circuit(config.n, config.t, config.mode, prep) if p > 0.0 else None
+    noisy = circuit is not None and any(g.num_targets > 1 for g in circuit.gates)  # else rho stays pure
+    pipeline.check_memory(config.n, noisy)
+    if circuit is None:
+        circuit = pipeline.evolution_circuit(config.n, config.t, config.mode, prep)
+    initial = pipeline.ricker_state(config.n) if prep is None else None
+    return pipeline.simulate_noisy(circuit, p, initial) if noisy else pipeline.simulate_noiseless(circuit, initial)
 
 
 def _single_p(config: RunConfig) -> float:
@@ -263,7 +269,6 @@ def cmd_evolve(config: RunConfig) -> int:
     p = _single_p(config)
     if config.mode == "exact" and p > 0.0:
         raise ValueError("evolve --mode exact runs noiselessly: no noise reaches its (n+1)-qubit DIAG gate")
-    pipeline.check_memory(config.n, p > 0.0)
     n, t = config.n, config.t
     N = 2 ** n
     state = _evolve(config, p)
@@ -403,7 +408,6 @@ def _sweep_time_axis(config: RunConfig) -> int:
 def _sweep_shots_axis(config: RunConfig) -> int:
     if not config.shots_list:
         raise ValueError("empty shots axis")
-    pipeline.check_memory(config.n, noisy=False)
     n, t = config.n, config.t
     N = 2 ** n
     state = _evolve(config, 0.0)

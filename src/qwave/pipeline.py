@@ -153,7 +153,7 @@ def noisy_infidelity(n: int, t: float, p: float) -> float:
     if any(gates[i].phases() is None for i in on1 if multi[0] < i < multi[-1]):
         raise ValueError("spatial wire 0 must meet only diagonal gates between its first and last two-qubit gates")
     if not any(g.num_targets == 2 for g in gates):  # no channel acts (t = 0): rho stays pure, and 1 - F would cancel
-        return state_infidelity(exact_reference(n, t), simulate_noiseless(circuit, ricker_state(n)))
+        return circuit_infidelity(n, t)
     runs = {(0,): range(first, end), (1,): range(multi[0], multi[-1] + 1)}  # each wire's two-qubit run
     folded = [i for i, g in enumerate(gates) if g.targets in runs and i not in runs[g.targets]]
     before, after = {q: np.eye(2, dtype=complex) for q in runs}, {q: np.eye(2, dtype=complex) for q in runs}

@@ -49,10 +49,11 @@ on a 4x smaller rho.
 
 vec(rho) may also run as rows split on its leading wires, those that meet
 only diagonal gates: row i is its slice at the 4-valued axes keys[i] of those
-wires (`_vec_split_pass`).  The rows are a leading batch, so a gate on any
-other wire is one call of `_apply_dense` or `_vec_diagonal_pass` over all of
-them, and a gate on a split wire multiplies each row by that row's factor.  A
-sweep point uses this to leave out the rows that are mirrors of others.
+wires.  One function, `_vec_gate`, applies every gate to vec(rho), whole or
+split.  The rows are a leading batch, so a gate on any other wire is one call
+over all of them, and a gate on a split wire multiplies each row by that
+row's factor.  A sweep point uses this to leave out the rows that are mirrors
+of others.
 """
 
 from __future__ import annotations
@@ -461,89 +462,63 @@ def _share(diagonal: Sequence[np.ndarray], w: float) -> np.ndarray:
     return np.multiply(w / 4.0, share, out=share)
 
 
-def _vec_diagonal_pass(vec: np.ndarray, phases: np.ndarray, targets: Sequence[int], k: int, w: float) -> None:
-    """In place on vec(rho) of k wires: rho <- (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab.
-
-    w > 0 only for a pair (a, b).  Every entry is multiplied by its factor.
-    The share (w/4) Tr_ab rho, the sum of the four views with Q_a, Q_b in
-    {0, 3}, is read before the multiply and added back onto them after it.
-    A vec of R 4^k entries is R rows, a leading batch, each passed on its own.
-    """
-    wires = sorted(targets)
-    if w:
-        every, view = slice(None), vec.reshape(_grouped(wires, k), copy=False)
-        diagonal = [view[every, i, every, j, every] for i in (0, 3) for j in (0, 3)]
-        share = _share(diagonal, w)
-    _scale(vec, _vec_factor(phases, targets, w)[None], wires, k)
-    if w:
-        for sub in diagonal:
-            sub += share
-
-
-def _vec_split_pass(rows: np.ndarray, keys: Sequence[tuple[int, ...]], phases: np.ndarray,
-                    targets: Sequence[int], w: float) -> None:
-    """In place: `_vec_diagonal_pass` on vec(rho) held as rows split on its leading wires.
-
-    Row i of the C-contiguous (R, 4^k) `rows` is the slice of vec(rho) at the
-    4-valued axes keys[i] of wires 0..s-1, so its entries are wires s..s+k-1.
-    Rows may be left out, as long as no kept row needs them in a channel share.
-    A gate off the split wires is one batched pass over all rows.  A gate on a
-    split wire multiplies each row by that row's own factor, and its share
-    sums, among the rows that agree on the other split wires, the rows whose
-    split targets are 0 or 3.  Every entry gets the full pass's factor, share
-    and summation order, so the rows keep its bits.
-    """
-    s, k = len(keys[0]), (rows.size // len(keys)).bit_length() // 2
-    if not any(q < s for q in targets):
-        _vec_diagonal_pass(rows, phases, [q - s for q in targets], k, w)
-        return
-    wires = sorted(targets)
-    split, content = [q for q in wires if q < s], [q - s for q in wires if q >= s]
-    factor = _vec_factor(phases, targets, w)  # split targets first
-    if w:  # a pair: per group of rows, the four views with both targets' Q in {0, 3}, in wire order
-        index, every = {key: i for i, key in enumerate(keys)}, slice(None)
-        diagonals = []
-        for key in keys:
-            if any(key[q] for q in split):
-                continue  # each group once, at its row with the split targets at Q = 0
-            diagonal = []
-            for values in itertools.product((0, 3), repeat=2):
-                at = dict(zip(split, values))
-                row = rows[index[tuple(at.get(q, v) for q, v in enumerate(key))]]
-                view = row.reshape(_grouped(content, k), copy=False)
-                diagonal.append(view[tuple(x for v in values[len(split):] for x in (every, v))])
-            diagonals.append((diagonal, _share(diagonal, w)))
-    _scale(rows, np.array([factor[tuple(key[q] for q in split)] for key in keys]), content, k)
-    if w:
-        for diagonal, share in diagonals:
-            for sub in diagonal:
-                sub += share
+_CORNERS = list(itertools.product((0, 3), repeat=2))  # (Q_a, Q_b) of the four views a pair's share sums
 
 
 def _vec_gate(rows: np.ndarray, keys: Sequence[tuple[int, ...]], gate: Gate, targets: Sequence[int], w: float) -> None:
-    """In place: `gate` on `targets`, with its channel if it is a pair, on the split rows of `_vec_split_pass`.
+    """In place: `gate` on `targets` of vec(rho), whole or split into rows, with its channel if it is a pair.
 
-    A dense gate must miss the split wires: U (x) conj(U) on its wire's axis of
-    every row, in one batched call.  keys = [()] is the whole vec(rho).
+    Row i of the C-contiguous (R, 4^k) `rows` is vec(rho)'s slice at the
+    4-valued axes keys[i] of wires 0..s-1 (keys = [()]: the whole vec(rho)).
+    Rows may be left out, unless a kept row needs them in a channel share.  A
+    dense gate must miss the split wires: U (x) conj(U) on every row, in one
+    batched call.  A diagonal gate multiplies each entry by (1 - w) D_r
+    conj(D_c), one factor for all rows or, on a split target, each row's own.
+    A pair's share (w/4) Tr_ab rho is read before the multiply and added back
+    after it: per group of rows that agree off the split targets, the sum of
+    the four views whose targets' Q are 0 or 3 (with no split target, one
+    group of all rows).  Each entry gets the same factor, share and summation
+    order however vec(rho) is split, so the rows keep the bits of the whole.
     """
+    s, k = len(keys[0]), (rows.size // len(keys)).bit_length() // 2
     phases = gate.phases()
     if phases is None:
         u = gate.matrix()
         u = _H_VEC if gate.kind == HADAMARD else np.kron(u, u.conj())
-        _apply_dense(rows, u, 2 * (targets[0] - len(keys[0])), in_place=True, rows=len(keys))
-    else:
-        _vec_split_pass(rows, keys, phases, targets, w if gate.num_targets == 2 else 0.0)
+        _apply_dense(rows, u, 2 * (targets[0] - s), in_place=True, rows=len(keys))
+        return
+    w = w if gate.num_targets == 2 else 0.0
+    wires = sorted(targets)
+    split, content = [q for q in wires if q < s], [q - s for q in wires if q >= s]
+    factor = _vec_factor(phases, targets, w)  # split targets first
+    factor = np.array([factor[tuple(key[q] for q in split)] for key in keys]) if split else factor[None]
+    diagonals = []
+    if w:
+        every, view = slice(None), rows.reshape([len(keys)] + _grouped(content, k), copy=False)
+        groups = [[every] * 4]  # the row of each corner, per group
+        if split:  # a group per row with the split targets at Q = 0
+            index = {key: i for i, key in enumerate(keys)}
+            groups = [[index[tuple(dict(zip(split, at)).get(q, v) for q, v in enumerate(key))] for at in _CORNERS]
+                      for key in keys if not any(key[q] for q in split)]
+        for group in groups:
+            diagonal = [view[(row,) + tuple(x for v in at[len(split):] for x in (every, v))]
+                        for row, at in zip(group, _CORNERS)]
+            diagonals.append((diagonal, _share(diagonal, w)))
+    _scale(rows, factor, content, k)
+    for diagonal, share in diagonals:
+        for sub in diagonal:
+            sub += share
 
 
 def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float, m: int) -> np.ndarray:
     """Two-qubit depolarizing channel on wires (a, b); returns a new array.
 
     Uses the twirl identity sum_{all 16 P} P rho P^dag = 16 (Tr_ab rho) (x) I/4,
-    so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4: the pass of a
-    noisy two-qubit gate, with the identity gate, on an interleaved copy.
+    so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4: `_vec_gate`
+    with the two-wire identity DIAG, on an interleaved copy.
     """
     vec = _interleave(np.asarray(entries, dtype=complex))
-    _vec_diagonal_pass(vec, np.ones(4, dtype=complex), (a, b), m, 16.0 * p / 15.0)
+    _vec_gate(vec, [()], Gate(DIAG, (a, b), values=np.ones(4)), (a, b), 16.0 * p / 15.0)
     return _standard_layout(vec, m)
 
 

@@ -545,6 +545,18 @@ def test_evolve_refuses_a_density_matrix_beyond_physical_memory(tmp_path, capsys
     assert not out.exists()
 
 
+def test_evolve_prices_a_run_in_which_no_channel_acts_as_noiseless(tmp_path, capsys, monkeypatch):
+    # 100 KiB: a noisy run at n = 6 needs 1.5 * 16 * 128^2 = 384 KiB, a noiseless one 11 * 16 * 128 = 22 KiB
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 100 * 2 ** 10)
+    args = ["evolve", "--n", "6", "--p", "1e-3", "--no-svg"]
+    assert cli.main([*args, "--t", "0", "--out", str(tmp_path / "t0")]) == 0  # an empty circuit: no channel acts
+    capsys.readouterr()
+    out = tmp_path / "noisy"
+    assert cli.main([*args, "--t", "0.5", "--out", str(out)]) == 1
+    assert "error: a noisy run at n=6 needs about" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runs_never_build_the_dense_dft(tmp_path, capsys):
     dft_matrix.cache_clear()
     assert cli.main(["sweep", "--axis", "N", "--n-range", "4:6", "--out", str(tmp_path / "a"), "--no-svg"]) == 0

@@ -534,8 +534,8 @@ def test_single_qubit_only_circuit_stays_pure_under_noise():
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 @pytest.mark.parametrize("p", [0.0, 1e-3, 0.5])
 def test_wire0_pass_is_bit_identical_to_the_full_pass_block_by_block(n, p):
-    # `_vec_split_pass` on rows of vec(rho) split on wire 0 (Q_0 = 0, 1, 3), then on wires 0 and 1
-    # (10 of the 16 rows (Q_0, Q_1)), against `_vec_diagonal_pass` on the whole vec
+    # `_vec_gate` on rows of vec(rho) split on wire 0 (Q_0 = 0, 1, 3), then on wires 0 and 1
+    # (10 of the 16 rows (Q_0, Q_1)), against `_vec_gate` on the whole vec
     rng, w = np.random.default_rng(n), 16.0 * p / 15.0
     vec = sim._interleave(_random_density(n + 1, rng).entries)
     angle = lambda: rng.uniform(-np.pi, np.pi)  # noqa: E731
@@ -547,10 +547,10 @@ def test_wire0_pass_is_bit_identical_to_the_full_pass_block_by_block(n, p):
     for keys, gates in (([(0,), (1,), (3,)], wire0), (wire01, both)):
         index = [sum(v * 4 ** (len(key) - 1 - i) for i, v in enumerate(key)) for key in keys]
         for gate in gates:
-            wg, full = w if gate.num_targets == 2 else 0.0, vec.copy()
-            sim._vec_diagonal_pass(full, gate.phases(), gate.targets, n + 1, wg)
+            full = vec.copy()
+            sim._vec_gate(full, [()], gate, gate.targets, w)
             rows = vec.reshape(4 ** len(keys[0]), -1)[index]
-            sim._vec_split_pass(rows, keys, gate.phases(), gate.targets, wg)
+            sim._vec_gate(rows, keys, gate, gate.targets, w)
             assert np.array_equal(rows, full.reshape(4 ** len(keys[0]), -1)[index]), (keys[0], gate.targets)
 
 
@@ -571,9 +571,9 @@ def test_a_batched_call_gives_every_row_the_bits_of_a_call_on_it_alone(rows, m):
         for gate in (rz(0.4, q), rzz(1.1, q, (q + m // 2) % m)) if m > 1 else (rz(0.4, q),):
             w = 0.3 if gate.num_targets == 2 else 0.0
             got = batch.copy()
-            sim._vec_diagonal_pass(got, gate.phases(), gate.targets, m, w)
+            sim._vec_gate(got, [()] * rows, gate, gate.targets, w)
             for row, want in zip(got, batch.copy()):
-                sim._vec_diagonal_pass(want, gate.phases(), gate.targets, m, w)
+                sim._vec_gate(want, [()], gate, gate.targets, w)
                 assert np.array_equal(row, want), gate.targets
 
 
