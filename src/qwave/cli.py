@@ -11,9 +11,10 @@ parser, help text, choices, the subcommands that read it and the sweep axes
 that read it.  A subcommand accepts only the options it reads, as flags or as
 keys of a flat key=value config file (--config); explicit flags override file
 values, and `sweep` refuses a non-default option that its axis does not read.
-All randomness flows from --seed.  Exit code 0 on success; 1 with a diagnostic
-on stderr for a run or config-file error; 2 for a usage error (an unknown flag
-or a value the flag's parser or choices refuse).
+Sweep axes N, p and t share one driver from (n, t, p) points to CSV, chart and
+summary.  All randomness flows from --seed.  Exit code 0 on success; 1 with a
+diagnostic on stderr for a run or config-file error, such as a non-finite time;
+2 for a usage error (an unknown flag or a value its parser or choices refuse).
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ class RunConfig:
             value, choices = getattr(self, f.name), f.metadata["choices"]
             if choices and value not in choices:
                 raise ValueError(f"{f.name} must be one of {', '.join(choices)}, got {value!r}")
+        if not all(map(math.isfinite, (self.t, self.dt, *(self.t_range or ())))):
+            raise ValueError(f"times must be finite, got t={self.t:g}, dt={self.dt:g}, t_range={self.t_range}")
         if self.dt <= 0:
             raise ValueError("time step must be positive")
         if self.t_range is not None and self.t_range[0] > self.t_range[1]:
@@ -309,58 +312,73 @@ def cmd_evolve(config: RunConfig) -> int:
     return 0
 
 
-def _write_sweep(out: Path, name: str, rows: list[pipeline.SweepRow]) -> Path:
-    path = out / name
+def _sweep_points(config: RunConfig) -> int:
+    """Axes N and p (epsilon vs grid size, one curve per noise level) and t (epsilon vs time at one n and p)."""
+    if config.axis == "t":
+        p = _single_p(config)
+        t_lo, t_hi = config.t_range or (0.1, 1.0)
+        # the slack keeps an end point that dt divides up to rounding, e.g. 0.9 / 0.3 = 2.9999999999999996
+        steps = math.floor((t_hi - t_lo) / config.dt + 1e-9)
+        points = [(config.n, t_lo + i * config.dt, p) for i in range(steps + 1)]
+        needs = f"a time > 0 on its grid, got {t_lo:g}:{t_hi:g} in steps of {config.dt:g}"
+    else:
+        lo, hi = config.n_range or ((5, 8) if config.axis == "N" else (2, 9))
+        p_list = config.p or ((0.0,) if config.axis == "N" else (1e-5, 1e-4, 1e-3))
+        ns = list(range(lo, hi + 1))
+        points = [(n, config.t, p) for p in p_list for n in ns]
+        needs = f"--t > 0, got {config.t:g}"
+    n_max, t_max, p_max = map(max, zip(*points))
+    if t_max <= 0:
+        raise ValueError(f"sweep --axis {config.axis} needs {needs}: at t = 0 epsilon is 0")
+    pipeline.check_memory(n_max, p_max > 0.0, min(config.workers, len(points)))
+    rows = _map(pipeline.sweep_point, points, config.workers)
+
+    messages = []
+    if config.axis == "t":
+        fit_rows = [r for r in rows if r.t >= 0.1 and r.epsilon > 0]
+        if len(fit_rows) >= 2:
+            slope = pipeline.loglog_slope([r.t for r in fit_rows], [r.epsilon for r in fit_rows])
+            messages.append(f"slope vs t (t >= 0.1): {slope:.3f}")
+        positive = [r for r in rows if r.epsilon > 0 and r.t > 0]
+        series = [
+            Series("measured", [r.t for r in positive], [r.epsilon for r in positive]),
+            Series("model", [r.t for r in positive], [r.epsilon_model for r in positive]),
+        ]
+        title = f"infidelity vs t (n={config.n}, p={p:g})"
+    else:
+        series = []
+        per_p = {p: rows[i * len(ns):(i + 1) * len(ns)] for i, p in enumerate(p_list)}
+        for p, chunk in per_p.items():
+            label = "noiseless" if p == 0 else f"p={p:g}"
+            series.append(Series(label, [r.N for r in chunk], [r.epsilon for r in chunk]))
+            if p == 0 and len(chunk) >= 2:
+                slope = pipeline.loglog_slope([r.N for r in chunk], [r.epsilon for r in chunk])
+                messages.append(f"noiseless slope vs N: {slope:.3f}")
+            elif p > 0:
+                eps = [r.epsilon for r in chunk]
+                argmin_n = ns[int(np.argmin(eps))]
+                interior = ns[0] < argmin_n < ns[-1]
+                messages.append(
+                    f"p={p:g}: min epsilon={min(eps):.3e} at n={argmin_n}"
+                    + (" (interior)" if interior else " (at sweep edge)")
+                )
+        model = per_p[p_list[0]]
+        series.append(Series("model", [r.N for r in model], [r.epsilon_model for r in model]))
+        title = f"infidelity vs N (t={config.t:g})"
+
+    out = _out_dir(config)
+    path = out / f"sweep_{config.axis}.csv"
     _write_csv(
         path,
         [f.name for f in fields(pipeline.SweepRow)],
         [tuple(f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)) for r in rows],
     )
-    return path
-
-
-def _sweep_grid_axis(config: RunConfig) -> int:
-    """Axis N (noiseless) or p (one curve per noise level): epsilon vs grid size."""
-    if config.t <= 0:
-        raise ValueError(f"sweep --axis {config.axis} needs --t > 0, got {config.t:g}: at t = 0 epsilon is 0")
-    if config.axis == "N":
-        lo, hi = config.n_range or (5, 8)
-        p_list: tuple[float, ...] = config.p or (0.0,)
-    else:
-        lo, hi = config.n_range or (2, 9)
-        p_list = config.p or (1e-5, 1e-4, 1e-3)
-    ns = list(range(lo, hi + 1))
-    points = [(n, config.t, p) for p in p_list for n in ns]
-    pipeline.check_memory(hi, max(p_list) > 0.0, min(config.workers, len(points)))
-    rows = _map(pipeline.sweep_point, points, config.workers)
-    out = _out_dir(config)
-    path = _write_sweep(out, f"sweep_{config.axis}.csv", rows)
-
-    series = []
-    messages = []
-    per_p = {p: rows[i * len(ns):(i + 1) * len(ns)] for i, p in enumerate(p_list)}
-    for p, chunk in per_p.items():
-        label = "noiseless" if p == 0 else f"p={p:g}"
-        series.append(Series(label, [r.N for r in chunk], [r.epsilon for r in chunk]))
-        if p == 0 and len(chunk) >= 2:
-            slope = pipeline.loglog_slope([r.N for r in chunk], [r.epsilon for r in chunk])
-            messages.append(f"noiseless slope vs N: {slope:.3f}")
-        elif p > 0:
-            eps = [r.epsilon for r in chunk]
-            argmin_n = ns[int(np.argmin(eps))]
-            interior = ns[0] < argmin_n < ns[-1]
-            messages.append(
-                f"p={p:g}: min epsilon={min(eps):.3e} at n={argmin_n}"
-                + (" (interior)" if interior else " (at sweep edge)")
-            )
-    model = per_p[p_list[0]]
-    series.append(Series("model", [r.N for r in model], [r.epsilon_model for r in model]))
     if config.svg:
         line_chart(
             series,
             out / f"sweep_{config.axis}.svg",
-            title=f"infidelity vs N (t={config.t:g})",
-            xlabel="N",
+            title=title,
+            xlabel="t" if config.axis == "t" else "N",
             ylabel="epsilon",
             logx=True,
             logy=True,
@@ -368,40 +386,6 @@ def _sweep_grid_axis(config: RunConfig) -> int:
     for message in messages:
         print(message)
     print(f"sweep axis={config.axis}: {len(rows)} rows -> {path}")
-    return 0
-
-
-def _sweep_time_axis(config: RunConfig) -> int:
-    p = _single_p(config)
-    t_lo, t_hi = config.t_range or (0.1, 1.0)
-    # the slack keeps an end point that dt divides up to rounding, e.g. 0.9 / 0.3 = 2.9999999999999996
-    steps = math.floor((t_hi - t_lo) / config.dt + 1e-9)
-    points = [(config.n, t_lo + i * config.dt, p) for i in range(steps + 1)]
-    pipeline.check_memory(config.n, p > 0.0, min(config.workers, len(points)))
-    rows = _map(pipeline.sweep_point, points, config.workers)
-    out = _out_dir(config)
-    path = _write_sweep(out, "sweep_t.csv", rows)
-
-    fit_rows = [r for r in rows if r.t >= 0.1 and r.epsilon > 0]
-    slope = None
-    if len(fit_rows) >= 2:
-        slope = pipeline.loglog_slope([r.t for r in fit_rows], [r.epsilon for r in fit_rows])
-        print(f"slope vs t (t >= 0.1): {slope:.3f}")
-    if config.svg:
-        positive = [r for r in rows if r.epsilon > 0 and r.t > 0]
-        line_chart(
-            [
-                Series("measured", [r.t for r in positive], [r.epsilon for r in positive]),
-                Series("model", [r.t for r in positive], [r.epsilon_model for r in positive]),
-            ],
-            out / "sweep_t.svg",
-            title=f"infidelity vs t (n={config.n}, p={p:g})",
-            xlabel="t",
-            ylabel="epsilon",
-            logx=True,
-            logy=True,
-        )
-    print(f"sweep axis=t: {len(rows)} rows -> {path}")
     return 0
 
 
@@ -442,11 +426,7 @@ def cmd_sweep(config: RunConfig) -> int:
     for f in fields(config):
         if config.axis not in f.metadata["axes"] and getattr(config, f.name) != f.default:
             raise ValueError(f"sweep --axis {config.axis} does not read option {f.name!r}")
-    if config.axis in ("N", "p"):
-        return _sweep_grid_axis(config)
-    if config.axis == "t":
-        return _sweep_time_axis(config)
-    return _sweep_shots_axis(config)
+    return _sweep_shots_axis(config) if config.axis == "shots" else _sweep_points(config)
 
 
 def cmd_gatecount(config: RunConfig) -> int:

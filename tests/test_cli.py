@@ -68,6 +68,10 @@ def test_run_config_validation():
         RunConfig(p=(-0.5,))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         RunConfig(p=(1e-3, 1.5))
+    for times in ({"t": math.nan}, {"t": math.inf}, {"t": -math.inf}, {"dt": math.nan}, {"dt": math.inf},
+                  {"t_range": (0.0, math.inf)}, {"t_range": (-math.inf, 1.0)}, {"t_range": (0.0, math.nan)}):
+        with pytest.raises(ValueError, match="times must be finite"):
+            RunConfig(**times)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -438,14 +442,19 @@ def test_sweep_time_axis_stays_inside_its_range(tmp_path, capsys, grid, ts):
     capsys.readouterr()
 
 
-def test_sweep_time_axis_with_workers(tmp_path, capsys):
+@pytest.mark.parametrize(("axis", "grid"), [
+    ("N", ["--n-range", "2:4"]),
+    ("p", ["--n-range", "2:4", "--p", "1e-4,1e-3"]),
+    ("t", ["--n", "3", "--t-range", "0.2:0.4", "--dt", "0.1"]),
+], ids=["N", "p", "t"])
+def test_sweep_time_axis_with_workers(tmp_path, capsys, axis, grid):
     out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    args = ["sweep", "--axis", "t", "--n", "3", "--t-range", "0.2:0.4", "--dt", "0.1",
-            "--no-svg"]
+    args = ["sweep", "--axis", axis, *grid, "--no-svg"]
     assert cli.main(args + ["--out", str(out1)]) == 0
+    serial = capsys.readouterr().out.replace(str(out1), "OUT")
     assert cli.main(args + ["--out", str(out2), "--workers", "2"]) == 0
-    assert (out1 / "sweep_t.csv").read_text() == (out2 / "sweep_t.csv").read_text()
-    capsys.readouterr()
+    assert capsys.readouterr().out.replace(str(out2), "OUT") == serial
+    assert (out1 / f"sweep_{axis}.csv").read_text() == (out2 / f"sweep_{axis}.csv").read_text()
 
 
 def test_sweep_time_axis_rejects_a_list_of_noise_levels(tmp_path, capsys):
@@ -457,12 +466,23 @@ def test_sweep_time_axis_rejects_a_list_of_noise_levels(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
-@pytest.mark.parametrize("axis", ["N", "p"])
-@pytest.mark.parametrize("t", ["0", "-0.5"])
-def test_grid_sweeps_refuse_a_time_without_dispersion(tmp_path, capsys, axis, t):
+_NO_TIME_PAST_0 = {  # id: (axis, grid, the refusal's start)
+    **{f"{t}-{axis}": (axis, ["--n-range", "4:6", "--t", t], f"sweep --axis {axis} needs --t > 0, got {t}")
+       for t in ("0", "-0.5") for axis in ("N", "p")},
+    "t-0:0": ("t", ["--n", "4", "--t-range", "0:0"], "sweep --axis t needs a time > 0 on its grid, got 0:0"),
+    "t-0:0-no-svg": ("t", ["--n", "4", "--t-range", "0:0", "--no-svg"], "sweep --axis t needs a time > 0"),
+    "t-0:0.005": ("t", ["--n", "4", "--t-range", "0:0.005", "--dt", "0.01"],
+                  "sweep --axis t needs a time > 0 on its grid, got 0:0.005 in steps of 0.01"),
+    "t--0.5:0": ("t", ["--n", "4", "--t-range=-0.5:0", "--dt", "0.25"], "sweep --axis t needs a time > 0"),
+}
+
+
+@pytest.mark.parametrize(("axis", "grid", "message"), _NO_TIME_PAST_0.values(), ids=_NO_TIME_PAST_0.keys())
+def test_grid_sweeps_refuse_a_time_without_dispersion(tmp_path, capsys, axis, grid, message):
     out = tmp_path / "run"
-    assert cli.main(["sweep", "--axis", axis, "--n-range", "4:6", "--t", t, "--out", str(out)]) == 1
-    assert f"sweep --axis {axis} needs --t > 0" in capsys.readouterr().err
+    assert cli.main(["sweep", "--axis", axis, *grid, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.endswith(": at t = 0 epsilon is 0\n")
     assert not out.exists()
 
 
@@ -686,3 +706,19 @@ def test_invalid_values_exit_nonzero(tmp_path, capsys):
                    "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["evolve", "--n", "3", "--t", "nan"],
+    ["evolve", "--n", "3", "--t", "inf"],
+    ["gatecount", "--n-range", "2:4", "--t", "nan"],
+    ["sweep", "--axis", "t", "--n", "3", "--t-range", "0.1:inf"],
+    ["sweep", "--axis", "t", "--n", "3", "--dt", "nan"],
+    ["evolve", "--n", "3", "--config", "nan.cfg"],
+])
+def test_non_finite_times_are_refused_before_out(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.cfg").write_text("t = nan\n")
+    assert cli.main([*args, "--out", "run"]) == 1
+    assert "times must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
