@@ -12,9 +12,11 @@ that read it.  A subcommand accepts only the options it reads, as flags or as
 keys of a flat key=value config file (--config); explicit flags override file
 values, and `sweep` refuses a non-default option that its axis does not read.
 Sweep axes N, p and t share one driver from (n, t, p) points to CSV, chart and
-summary.  All randomness flows from --seed.  Exit code 0 on success; 1 with a
-diagnostic on stderr for a run or config-file error, such as a non-finite time;
-2 for a usage error (an unknown flag or a value its parser or choices refuse).
+summary.  Each command renders its chart before it creates --out, so a chart
+that cannot be drawn refuses the run before anything is written.  All
+randomness flows from --seed.  Exit code 0 on success; 1 with a diagnostic on
+stderr for a run or config-file error, such as a non-finite time; 2 for a
+usage error (an unknown flag or a value its parser or choices refuse).
 """
 
 from __future__ import annotations
@@ -216,21 +218,20 @@ def cmd_train(config: RunConfig) -> int:
     pipeline.check_training_memory(ansatz.num_params, min(config.workers, config.restarts), 2 ** ansatz.num_qubits)
     seeds = range(config.seed, config.seed + config.restarts)
     runs = [(ansatz, target, OptimizerConfig(max_iters=config.iters, seed=s)) for s in seeds]
-    out = _out_dir(config)
     result = min(_map(optimize, runs, config.workers), key=lambda r: r.cost)
     checkpoint = Checkpoint.from_result(config.n, ansatz, result)
+    chart = config.svg and line_chart(
+        [Series("best cost", list(range(len(result.history))), [max(c, 1e-16) for c in result.history])],
+        title=f"prep training, n={config.n} (seed {result.seed})",
+        xlabel="iteration",
+        ylabel="best cost",
+        logy=True,
+    )
+    out = _out_dir(config)
     path = out / f"prep_n{config.n}.json"
     checkpoint.save(path)
-    if config.svg:
-        iters = list(range(len(result.history)))
-        line_chart(
-            [Series("best cost", iters, [max(c, 1e-16) for c in result.history])],
-            out / f"train_history_n{config.n}.svg",
-            title=f"prep training, n={config.n} (seed {result.seed})",
-            xlabel="iteration",
-            ylabel="best cost",
-            logy=True,
-        )
+    if chart:
+        (out / f"train_history_n{config.n}.svg").write_text(chart)
     print(
         f"train n={config.n}: infidelity={result.infidelity:.3e} "
         f"cost={result.cost:.3e} grad_norm={result.grad_norm:.3e} iterations={result.iterations} "
@@ -293,20 +294,17 @@ def cmd_evolve(config: RunConfig) -> int:
         (f"{x:.8g}", f"{e:.10g}", f"{s:.10g}", f"{m:.10g}")
         for x, e, s, m in zip(xs, exact_probs, reported, eps_mc)
     ]
+    label = f"sampled ({config.shots} shots)" if config.shots else "simulated"
+    chart = config.svg and line_chart(
+        [Series("exact", xs, exact_probs), Series(label, xs, reported, errs=eps_mc if config.shots else None)],
+        title=f"wavefield at t={t:g} (n={n}, mode={config.mode}" + (f", p={p:g})" if p > 0 else ")"),
+        xlabel="x",
+        ylabel="|psi|^2",
+    )
     out = _out_dir(config)
     _write_csv(out / f"{stem}.csv", ["x", "exact_prob", "sim_prob", "eps_mc"], rows)
-    if config.svg:
-        series = [Series("exact", xs, exact_probs)]
-        label = f"sampled ({config.shots} shots)" if config.shots else "simulated"
-        series.append(Series(label, xs, reported, errs=eps_mc if config.shots else None))
-        line_chart(
-            series,
-            out / f"{stem}.svg",
-            title=f"wavefield at t={t:g} (n={n}, mode={config.mode}"
-            + (f", p={p:g})" if p > 0 else ")"),
-            xlabel="x",
-            ylabel="|psi|^2",
-        )
+    if chart:
+        (out / f"{stem}.svg").write_text(chart)
     eps = state_infidelity(exact, state)
     print(f"evolve n={n} t={t:g} mode={config.mode} p={p:g}: infidelity={eps:.3e} -> {out / stem}.csv")
     return 0
@@ -366,6 +364,9 @@ def _sweep_points(config: RunConfig) -> int:
         series.append(Series("model", [r.N for r in model], [r.epsilon_model for r in model]))
         title = f"infidelity vs N (t={config.t:g})"
 
+    chart = config.svg and line_chart(
+        series, title=title, xlabel="t" if config.axis == "t" else "N", ylabel="epsilon", logx=True, logy=True
+    )
     out = _out_dir(config)
     path = out / f"sweep_{config.axis}.csv"
     _write_csv(
@@ -373,16 +374,8 @@ def _sweep_points(config: RunConfig) -> int:
         [f.name for f in fields(pipeline.SweepRow)],
         [tuple(f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)) for r in rows],
     )
-    if config.svg:
-        line_chart(
-            series,
-            out / f"sweep_{config.axis}.svg",
-            title=title,
-            xlabel="t" if config.axis == "t" else "N",
-            ylabel="epsilon",
-            logx=True,
-            logy=True,
-        )
+    if chart:
+        (out / f"sweep_{config.axis}.svg").write_text(chart)
     for message in messages:
         print(message)
     print(f"sweep axis={config.axis}: {len(rows)} rows -> {path}")
@@ -402,22 +395,22 @@ def _sweep_shots_axis(config: RunConfig) -> int:
         max_abs = float(np.max(np.abs(p_hat - probs)))
         eps_mc_max = float(np.max(np.sqrt(probs * (1.0 - probs) / shots)))
         rows.append((n, N, f"{t:g}", shots, f"{max_abs:.10g}", f"{eps_mc_max:.10g}"))
+    chart = config.svg and line_chart(
+        [
+            Series("max |p_hat - p|", list(config.shots_list), [float(r[4]) for r in rows]),
+            Series("max eps_mc", list(config.shots_list), [float(r[5]) for r in rows]),
+        ],
+        title=f"sampling error vs shots (n={n}, t={t:g})",
+        xlabel="shots",
+        ylabel="error",
+        logx=True,
+        logy=True,
+    )
     out = _out_dir(config)
     path = out / "sweep_shots.csv"
     _write_csv(path, ["n", "N", "t", "shots", "max_abs_error", "eps_mc_max"], rows)
-    if config.svg:
-        line_chart(
-            [
-                Series("max |p_hat - p|", list(config.shots_list), [float(r[4]) for r in rows]),
-                Series("max eps_mc", list(config.shots_list), [float(r[5]) for r in rows]),
-            ],
-            out / "sweep_shots.svg",
-            title=f"sampling error vs shots (n={n}, t={t:g})",
-            xlabel="shots",
-            ylabel="error",
-            logx=True,
-            logy=True,
-        )
+    if chart:
+        (out / "sweep_shots.svg").write_text(chart)
     print(f"sweep axis=shots: {len(rows)} rows -> {path}")
     return 0
 
@@ -448,22 +441,22 @@ def cmd_gatecount(config: RunConfig) -> int:
             f"{series_name}: {coeffs[0]:.4g} n^2 + {coeffs[1]:.4g} n + {coeffs[2]:.4g}"
             f"  (R^2 = {r2:.6f})"
         )
+    chart = config.svg and line_chart(
+        [
+            Series("evolution", ns, [r["two_qubit_evolution"] for r in rows]),
+            Series("with prep", ns, [r["two_qubit_with_prep"] for r in rows]),
+        ],
+        title=f"two-qubit gates vs n (t={t:g})",
+        xlabel="n",
+        ylabel="two-qubit gates",
+    )
     out = _out_dir(config)
     header = list(rows[0].keys())
     path = out / "gatecounts.csv"
     _write_csv(path, header, [tuple(r[k] for k in header) for r in rows])
     (out / "gatecount_fit.json").write_text(json.dumps(fits, indent=2) + "\n")
-    if config.svg:
-        line_chart(
-            [
-                Series("evolution", ns, [r["two_qubit_evolution"] for r in rows]),
-                Series("with prep", ns, [r["two_qubit_with_prep"] for r in rows]),
-            ],
-            out / "gatecounts.svg",
-            title=f"two-qubit gates vs n (t={t:g})",
-            xlabel="n",
-            ylabel="two-qubit gates",
-        )
+    if chart:
+        (out / "gatecounts.svg").write_text(chart)
     print(f"gatecount: {len(rows)} rows -> {path}")
     return 0
 

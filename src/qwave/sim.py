@@ -36,9 +36,10 @@ folds into the same pass:
     E(D rho D^dag) = (1 - w) D rho D^dag + (w/4) (Tr_ab rho) (x) I_ab,  w = 16p/15,
 
 with the partial trace, the four views with Q_a, Q_b in {0, 3}, read before
-the multiply and added back onto them after it.  `apply_circuit_noisy`
-returns rho in the standard (2^m, 2^m) layout: one in-place permutation of
-vec(rho)'s axes undoes the interleaving and applies the trailing relabeling.
+the multiply and added back onto them after it.  `DensityMatrix` holds
+vec(rho) from start to result: its diagonal is the entries whose every Q is 0
+or 3, and `state_infidelity` forms rho's rows a block at a time.  Only
+`DensityMatrix.entries` builds the standard (2^m, 2^m) layout, as a copy.
 
 A noisy run from a pure state keeps each wire that the state holds in a basis
 state out of rho, as a 2-vector, until the first multi-qubit gate touches it.
@@ -381,18 +382,32 @@ class StateVector:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite density operator."""
+    """Hermitian, unit-trace, positive semidefinite density operator, held as vec(rho).
 
-    def __init__(self, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
-        n = int(round(math.log2(entries.shape[0])))
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or 2 ** n != entries.shape[0]:
-            raise ValueError("density matrix must be square with power-of-two dimension")
-        self.num_qubits = n
-        self.entries = entries
+    `vec` has 4^m entries on the 4-valued axes Q_q = 2 r_q + c_q, wire 0 first.
+    """
+
+    def __init__(self, vec: np.ndarray):
+        vec = np.asarray(vec, dtype=complex)
+        m = (vec.size.bit_length() - 1) // 2
+        if vec.ndim != 1 or vec.size != 4 ** m:
+            raise ValueError("density matrix must be a vec(rho) of 4^m entries: square with power-of-two dimension")
+        self.num_qubits = m
+        self.vec = vec
+
+    def _standard_view(self) -> np.ndarray:
+        """vec as rho's (r_0, .., r_m-1, c_0, .., c_m-1) axes of length 2: a transposed view, no copy."""
+        m = self.num_qubits
+        return self.vec.reshape([2] * (2 * m)).transpose([2 * q for q in range(m)] + [2 * q + 1 for q in range(m)])
+
+    @property
+    def entries(self) -> np.ndarray:
+        """rho in the standard (2^m, 2^m) layout: a new array."""
+        return np.array(self._standard_view(), order="C").reshape(2 ** self.num_qubits, -1)
 
     def probabilities(self) -> np.ndarray:
-        return np.clip(np.diag(self.entries).real, 0.0, None)
+        diagonal = self.vec.reshape([4] * self.num_qubits)[(slice(None, None, 3),) * self.num_qubits]
+        return np.clip(diagonal.real.reshape(-1), 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -510,16 +525,16 @@ def _vec_gate(rows: np.ndarray, keys: Sequence[tuple[int, ...]], gate: Gate, tar
             sub += share
 
 
-def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float, m: int) -> np.ndarray:
+def depolarize_pair(entries: np.ndarray, a: int, b: int, p: float) -> np.ndarray:
     """Two-qubit depolarizing channel on wires (a, b); returns a new array.
 
     Uses the twirl identity sum_{all 16 P} P rho P^dag = 16 (Tr_ab rho) (x) I/4,
     so E(rho) = (1 - 16p/15) rho + (16p/15) (Tr_ab rho) (x) I/4: `_vec_gate`
-    with the two-wire identity DIAG, on an interleaved copy.
+    with the two-wire identity DIAG, on an interleaved copy, read back by `.entries`.
     """
     vec = _interleave(np.asarray(entries, dtype=complex))
     _vec_gate(vec, [()], Gate(DIAG, (a, b), values=np.ones(4)), (a, b), 16.0 * p / 15.0)
-    return _standard_layout(vec, m)
+    return DensityMatrix(vec).entries
 
 
 def _basis_wires(state: StateVector) -> tuple[dict[int, np.ndarray], np.ndarray]:
@@ -542,38 +557,6 @@ def _interleave(entries: np.ndarray) -> np.ndarray:
     """vec(rho) of a (2^m, 2^m) rho, axes (r_0, c_0, r_1, c_1, ...): one new array."""
     m = entries.shape[0].bit_length() - 1
     return np.array(entries.reshape([2] * (2 * m)).transpose([x for q in range(m) for x in (q, q + m)])).reshape(-1)
-
-
-_SWAP = 2 ** 14  # entries an in-place axis swap moves through its buffer at once
-
-
-def _standard_layout(vec: np.ndarray, m: int, perm: Sequence[int] | None = None) -> np.ndarray:
-    """In place: vec(rho) of m wires -> rho as a (2^m, 2^m) view of it, wire q moved to perm[q].
-
-    The axes reach their places by swaps of two axes at a time; a swap
-    exchanges the halves (.., 0, .., 1, ..) and (.., 1, .., 0, ..) through one
-    buffer of `_SWAP` entries, so no second array of rho's size is made.
-    """
-    inv = _invert_permutation(perm) if perm is not None else list(range(m))
-    want = [2 * q for q in inv] + [2 * q + 1 for q in inv]  # the vec axis each rho axis takes
-    have, bits = list(range(2 * m)), 2 * m
-    buffer = np.empty(_SWAP, dtype=vec.dtype)
-    for i, axis in enumerate(want):
-        j = have.index(axis)
-        if j == i:
-            continue
-        have[i], have[j] = axis, have[i]
-        view = vec.reshape(2 ** i, 2, 2 ** (j - i - 1), 2, 2 ** (bits - 1 - j), copy=False)
-        lo, hi = view[:, 0, :, 1], view[:, 1, :, 0]
-        _, mid, tail = lo.shape
-        steps = (max(1, _SWAP // (mid * tail)), max(1, _SWAP // tail), _SWAP)  # a chunk of at most _SWAP
-        for corner in itertools.product(*(range(0, size, step) for size, step in zip(lo.shape, steps))):
-            chunk = tuple(slice(x, x + step) for x, step in zip(corner, steps))
-            saved = buffer[:lo[chunk].size].reshape(lo[chunk].shape)
-            saved[...] = lo[chunk]
-            lo[chunk] = hi[chunk]
-            hi[chunk] = saved
-    return vec.reshape(2 ** m, 2 ** m)
 
 
 _LOW = 3  # wires whose (row, column) order `_interleaved_outer` gathers: inner loops of 4^3 entries
@@ -640,16 +623,18 @@ def apply_circuit_noisy(start: StateVector | DensityMatrix, circuit: Circuit, no
     """Run `circuit` on a pure or mixed state, depolarizing after every two-qubit gate.
 
     The run works on vec(rho) (`_noisy_vec`): a pure start builds it from its
-    amplitudes, a `DensityMatrix` start is interleaved into one new array.  At
-    the end the trailing relabeling and the return to the standard layout are
-    one in-place axis permutation.
+    amplitudes, a `DensityMatrix` start is copied into one new array.  A
+    trailing relabeling is one transposed copy of vec(rho)'s 4-valued axes.
     """
     if start.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit act on different register sizes")
     if isinstance(start, DensityMatrix):
-        start = _interleave(start.entries)
+        start = start.vec.copy()
     vec = _noisy_vec(start, circuit, 16.0 * noise.p / 15.0)
-    return DensityMatrix(_standard_layout(vec, circuit.num_qubits, circuit.final_permutation))
+    if circuit.final_permutation is not None:
+        inv = _invert_permutation(circuit.final_permutation)  # wire q's axis moves to perm[q]
+        vec = vec.reshape([4] * circuit.num_qubits).transpose(inv).reshape(-1)
+    return DensityMatrix(vec)
 
 
 def sample_bitstrings(state: StateVector | DensityMatrix, shots: int, seed: int) -> np.ndarray:
@@ -675,7 +660,12 @@ def state_infidelity(exact: StateVector, state: StateVector | DensityMatrix) -> 
         d2 = np.vdot(d, d).real
         eps = d2 * (1.0 - d2 / 4.0)
     else:
-        val = np.vdot(exact.amplitudes, state.entries @ exact.amplitudes)
+        # rho's rows in up to 8 blocks by the leading row bits, so rho @ psi never holds a second rho; a block
+        # keeps 2 rows or more, which gemv rounds as it does the whole rho (one row would round as a dot)
+        rows, psi = state._standard_view(), exact.amplitudes
+        lead = [2] * min(state.num_qubits - 1, 3)
+        rho_psi = np.concatenate([rows[bits].reshape(-1, psi.size) @ psi for bits in np.ndindex(*lead)])
+        val = np.vdot(psi, rho_psi)
         if abs(val.imag) > 1e-10:
             raise ValueError("fidelity has a non-negligible imaginary part; invalid density matrix")
         eps = 1.0 - val.real

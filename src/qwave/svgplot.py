@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 _PALETTE = ("#1f6fb2", "#e07b39", "#3d9970", "#b23b3b", "#7d5ba6", "#666666")
@@ -94,15 +93,14 @@ def _fmt(value: float) -> str:
 
 def line_chart(
     series: Sequence[Series],
-    path: str | Path,
     *,
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
     logx: bool = False,
     logy: bool = False,
-) -> None:
-    """Write a standalone SVG with one polyline per series."""
+) -> str:
+    """A standalone SVG with one polyline per series, as text: a caller renders it before it writes anything."""
     if not series or all(len(s.xs) == 0 for s in series):
         raise ValueError("nothing to plot")
     xs_all = [float(x) for s in series for x in s.xs]
@@ -175,4 +173,4 @@ def line_chart(
         )
         out.append(f'<text x="{left + plot_w - 88:.1f}" y="{label_y:.1f}">{s.label}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

@@ -4,7 +4,8 @@ Most are built directly from their definition, independently of the code
 under test: the central-difference Laplacian as an explicit matrix, the
 small-angle phase diagonal as a signed-wavenumber table, the purity
 Tr(rho^2), the projector of a pure state, the shot count of a relative
-error, and the per-outcome statistics of a shot histogram.
+error, and the per-outcome statistics of a shot histogram.  `density` builds a
+`DensityMatrix`, which holds vec(rho), from a standard-layout matrix.
 `smallangle_evolve` is the spectral route with the linearized frequencies
 2 pi k, the FFT evolution of `exact_evolve` with other phases.
 
@@ -96,10 +97,18 @@ def purity(rho) -> float:
     return float(np.trace(rho.entries @ rho.entries).real)
 
 
+def density(rho: np.ndarray) -> DensityMatrix:
+    """The DensityMatrix of a standard-layout (2^m, 2^m) rho: vec(rho) on the axes (r_0, c_0, r_1, c_1, ...)."""
+    rho = np.asarray(rho, dtype=complex)
+    m = rho.shape[0].bit_length() - 1
+    vec = rho.reshape([2] * (2 * m)).transpose([x for q in range(m) for x in (q, q + m)])
+    return DensityMatrix(np.array(vec, order="C").reshape(-1))
+
+
 def pure_density(state: StateVector) -> DensityMatrix:
     """|psi><psi| of a pure state."""
     a = state.amplitudes
-    return DensityMatrix(np.outer(a, a.conj()))
+    return density(np.outer(a, a.conj()))
 
 
 def validated(state: StateVector | DensityMatrix) -> StateVector | DensityMatrix:
@@ -277,7 +286,7 @@ def standard_layout_noisy(start, circuit, p: float) -> np.ndarray:
         held, amps = _basis_wires(start)
         entries = np.outer(amps, amps.conj())
     else:
-        held, entries = {}, start.entries.copy()
+        held, entries = {}, start.entries
     live = [q for q in range(m) if q not in held]
     for gate in circuit.gates:
         if gate.num_targets == 1 and gate.targets[0] in held:
@@ -338,9 +347,7 @@ def out_of_place_noisy(start, circuit, p: float) -> np.ndarray:
         vec = np.multiply.outer(amps, amps.conj()).reshape([2] * (2 * k))
         vec = vec.transpose([x for q in range(k) for x in (q, q + k)]).reshape(-1)
     else:
-        held = {}
-        vec = np.array(start.entries.reshape([2] * (2 * m)).transpose([x for q in range(m) for x in (q, q + m)]))
-        vec = vec.reshape(-1)
+        held, vec = {}, start.vec.copy()
     live = [q for q in range(m) if q not in held]
     for gate in circuit.gates:
         if gate.num_targets == 1 and gate.targets[0] in held:

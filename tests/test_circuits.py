@@ -20,6 +20,7 @@ from qwave.circuits import (
 )
 from qwave.sim import Circuit, StateVector, apply_circuit, hadamard, rzz
 from qwave.spectral import dft_matrix, exact_evolve, wavenumbers
+from qwave.stateprep import ansatz_to_circuit, build_ansatz
 
 
 def _ricker_sectors(n: int):
@@ -174,6 +175,13 @@ def test_prep_register_size_is_checked():
 
 
 def test_assembled_circuit_has_no_trailing_relabeling():
-    # the inverse QFT's bit reversal must cancel against the QFT's
-    circ = assemble_evolution(None, EvolutionSpec(3, 0.7))
-    assert circ.final_permutation is None
+    # every circuit the CLI runs: the inverse QFT's bit reversal must cancel against the QFT's, and the
+    # brickwall prep has none; a noisy run pays a relabeling with a transposed copy of rho, past
+    # check_memory's 1.5 copies
+    for n in range(2, 9):
+        ansatz = build_ansatz(n + 1)
+        for prep in (None, ansatz_to_circuit(ansatz, np.zeros(ansatz.num_params))):
+            for mode in ("approx", "exact"):
+                for t in (0.0, 0.37, 1.0):
+                    circuit = assemble_evolution(prep, EvolutionSpec(n, t, mode))
+                    assert circuit.final_permutation is None, (n, prep is None, mode, t)

@@ -486,6 +486,16 @@ def test_grid_sweeps_refuse_a_time_without_dispersion(tmp_path, capsys, axis, gr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis_args", [["--axis", "t", "--n", "4", "--t-range", "1e-300:1e-300"],
+                                       ["--axis", "N", "--n-range", "2:3", "--t", "1e-300"]])
+def test_a_chart_that_cannot_be_drawn_refuses_the_run_before_out_exists(tmp_path, capsys, axis_args):
+    # every epsilon_model underflows to 0, so the chart's log axis has no positive point to place
+    out = tmp_path / "run"
+    assert cli.main(["sweep", *axis_args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: log axis needs positive data\n"
+    assert not out.exists()
+
+
 def test_sweep_refuses_a_run_beyond_physical_memory_before_any_point(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 2 ** 20)
     ran = []

@@ -5,7 +5,6 @@ recomputed through an independent dense-kron oracle in this file.
 """
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import interleaved_outer, pure_density, purity, unitary, validated
+from oracles import density, interleaved_outer, pure_density, purity, unitary, validated
 from qwave import sim
 from qwave.sim import (
     Circuit,
@@ -68,7 +67,7 @@ def _random_state(m: int, rng) -> StateVector:
 def _random_density(m: int, rng, rank: int = 3) -> DensityMatrix:
     a = rng.normal(size=(2 ** m, rank)) + 1j * rng.normal(size=(2 ** m, rank))
     rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
+    return density(rho / np.trace(rho).real)
 
 
 # ---------------------------------------------------------------- gate matrices
@@ -316,7 +315,7 @@ def test_depolarize_pair_leaves_its_argument_unchanged(case, seed, p):
     m, wires = case
     rho = _random_density(m, np.random.default_rng(seed)).entries
     before = rho.copy()
-    out = depolarize_pair(rho, wires[0], wires[1], p, m)
+    out = depolarize_pair(rho, wires[0], wires[1], p)
     assert np.array_equal(rho, before)
     assert np.max(np.abs(out - _brute_force_depolarize(before, wires[0], wires[1], p, m))) < 1e-13
 
@@ -414,14 +413,14 @@ def test_density_matrix_validation_and_helpers():
     with pytest.raises(ValueError, match="power-of-two dimension"):
         DensityMatrix(np.eye(3) / 3)
     with pytest.raises(ValueError, match="unit trace"):
-        validated(DensityMatrix(np.eye(4)))
+        validated(density(np.eye(4)))
     with pytest.raises(ValueError, match="Hermitian"):
-        validated(DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]])))
+        validated(density(np.array([[0.5, 0.5], [0.0, 0.5]])))
     with pytest.raises(ValueError, match="positive semidefinite"):
-        validated(DensityMatrix(np.diag([1.5, -0.5]).astype(complex)))  # Hermitian, unit trace, not positive
+        validated(density(np.diag([1.5, -0.5]).astype(complex)))  # Hermitian, unit trace, not positive
     pure = pure_density(_random_state(2, rng))
     assert purity(pure) == pytest.approx(1.0)
-    validated(DensityMatrix(pure.entries))  # a pure state's projector passes every check
+    validated(density(pure.entries))  # a pure state's projector passes every check
     mixed = _random_density(2, rng)
     assert purity(mixed) < 1.0
     assert np.trace(mixed.entries).real == pytest.approx(1.0)
@@ -458,7 +457,7 @@ def _brute_force_depolarize(rho: np.ndarray, a: int, b: int, p: float, m: int) -
 def test_depolarize_pair_matches_pauli_sum(pair, p):
     rng = np.random.default_rng(hash(pair) % 1000)
     rho = _random_density(3, rng).entries
-    got = depolarize_pair(rho.copy(), pair[0], pair[1], p, 3)
+    got = depolarize_pair(rho.copy(), pair[0], pair[1], p)
     want = _brute_force_depolarize(rho, pair[0], pair[1], p, 3)
     assert np.max(np.abs(got - want)) < 1e-13
 
@@ -468,9 +467,9 @@ def test_full_strength_channel_on_pure_pair_state():
     # maps a pure two-qubit rho to (4 I - rho) / 15, and p = 15/16 to I / 4
     rng = np.random.default_rng(7)
     rho = pure_density(_random_state(2, rng)).entries
-    full = depolarize_pair(rho.copy(), 0, 1, 1.0, 2)
+    full = depolarize_pair(rho.copy(), 0, 1, 1.0)
     assert np.max(np.abs(full - (4.0 * np.eye(4) - rho) / 15.0)) < 1e-14
-    mixed = depolarize_pair(rho.copy(), 0, 1, 15.0 / 16.0, 2)
+    mixed = depolarize_pair(rho.copy(), 0, 1, 15.0 / 16.0)
     assert np.max(np.abs(mixed - np.eye(4) / 4.0)) < 1e-14
 
 
@@ -478,7 +477,7 @@ def test_full_strength_channel_on_pure_pair_state():
 def test_channel_is_trace_preserving_and_completely_positive(p):
     rng = np.random.default_rng(8)
     rho = _random_density(2, rng).entries
-    out = depolarize_pair(rho.copy(), 0, 1, p, 2)
+    out = depolarize_pair(rho.copy(), 0, 1, p)
     assert np.trace(out).real == pytest.approx(1.0)
     # Choi matrix: apply the channel to each matrix unit |i><j|
     choi = np.zeros((16, 16), dtype=complex)
@@ -486,7 +485,7 @@ def test_channel_is_trace_preserving_and_completely_positive(p):
         for j in range(4):
             unit = np.zeros((4, 4), dtype=complex)
             unit[i, j] = 1.0
-            choi[i * 4:(i + 1) * 4, j * 4:(j + 1) * 4] = depolarize_pair(unit, 0, 1, p, 2)
+            choi[i * 4:(i + 1) * 4, j * 4:(j + 1) * 4] = depolarize_pair(unit, 0, 1, p)
     eigs = np.linalg.eigvalsh(choi)
     assert eigs.min() > -1e-12
 
@@ -495,7 +494,7 @@ def test_channel_never_increases_purity():
     rng = np.random.default_rng(9)
     for p in (0.01, 0.2, 0.9):
         rho = pure_density(_random_state(3, rng))
-        out = DensityMatrix(depolarize_pair(rho.entries, 0, 2, p, 3))
+        out = density(depolarize_pair(rho.entries, 0, 2, p))
         assert purity(out) <= purity(rho) + 1e-12
 
 
@@ -610,21 +609,7 @@ def test_interleave_then_standard_layout_returns_rho_exactly(m):
         r = r | ((i >> (2 * m - 1 - 2 * q)) & 1) << (m - 1 - q)
         c = c | ((i >> (2 * m - 2 - 2 * q)) & 1) << (m - 1 - q)
     assert np.array_equal(vec, rho[r, c])
-    back = sim._standard_layout(vec, m)
-    assert np.shares_memory(back, vec)
-    assert np.array_equal(back, rho)
-
-
-def test_standard_layout_needs_no_second_array():
-    m = 9  # vec(rho) is 4 MiB: 64 buffers of 2^14 entries per axis swap
-    vec = sim._interleave(_random_density(m, np.random.default_rng(14)).entries)
-    tracemalloc.start()
-    try:
-        sim._standard_layout(vec, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.15 * vec.nbytes
+    assert np.array_equal(DensityMatrix(vec).entries, rho)
 
 
 @_PROPERTY
@@ -637,7 +622,17 @@ def test_interleaved_dense_pass_is_conjugation(case, kind, theta, phi, seed):
     rho = _random_density(m, np.random.default_rng(seed)).entries
     vec = sim._noisy_vec(sim._interleave(rho), Circuit(m, [gate]), 0.0)
     op = _embed(gate.matrix(), (q,), m)
-    assert np.max(np.abs(sim._standard_layout(vec, m) - op @ rho @ op.conj().T)) < 1e-12
+    assert np.max(np.abs(DensityMatrix(vec).entries - op @ rho @ op.conj().T)) < 1e-12
+
+
+@_PROPERTY
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_read_outs_on_vec_rho_are_bit_identical_to_the_standard_layout_ones(m, seed):
+    rng = np.random.default_rng(seed)
+    rho, psi = _random_density(m, rng), _random_state(m, rng)
+    entries = rho.entries
+    assert np.array_equal(rho.probabilities(), np.clip(np.diag(entries).real, 0.0, None))
+    assert state_infidelity(psi, rho) == 1.0 - np.vdot(psi.amplitudes, entries @ psi.amplitudes).real
 
 
 @pytest.mark.parametrize("k", range(11))
@@ -781,7 +776,7 @@ def test_sampling_respects_bit_order_and_distribution():
 
 
 def test_density_matrix_sampling_matches_diagonal():
-    rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+    rho = density(np.diag([0.25, 0.75]).astype(complex))
     hist = sample_bitstrings(rho, 100_000, seed=2)
     assert abs(hist[1] / 100_000 - 0.75) < 0.01
 
@@ -811,5 +806,5 @@ def test_state_infidelity_resolves_infidelities_below_rounding():
 def test_state_infidelity_mixed_case():
     exact = StateVector.zero(2)
     w = 0.37
-    rho = DensityMatrix(np.diag([w, 1 - w, 0, 0]).astype(complex))
+    rho = density(np.diag([w, 1 - w, 0, 0]).astype(complex))
     assert state_infidelity(exact, rho) == pytest.approx(1 - w)
