@@ -12,8 +12,8 @@ that read it.  A subcommand accepts only the options it reads, as flags or as
 keys of a flat key=value config file (--config); explicit flags override file
 values, and `sweep` refuses a non-default option that its axis does not read.
 Sweep axes N, p and t share one driver from (n, t, p) points to CSV, chart and
-summary.  Each command renders its chart before it creates --out, so a chart
-that cannot be drawn refuses the run before anything is written.  All
+summary.  Each command returns its files and report; only `main` creates --out
+and writes them, so a run refused at any step leaves no --out behind.  All
 randomness flows from --seed.  Exit code 0 on success; 1 with a diagnostic on
 stderr for a run or config-file error, such as a non-finite time; 2 for a
 usage error (an unknown flag or a value its parser or choices refuse).
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -75,6 +76,8 @@ def _parse_bool(text: str) -> bool:
 _EVERY_COMMAND = ("train", "evolve", "sweep", "gatecount")
 _EVERY_AXIS = ("N", "t", "p", "shots")
 _POINT_AXES = ("N", "p", "t")  # the axes that run pipeline.sweep_point
+# peak RSS per point of a t sweep with its chart: 1,059 bytes from 2e4 to 1e5 points at n = 2 (569 without it)
+_ROW_BYTES = 1100
 
 
 def _option(default, parse, help, commands, choices=None, metavar=None, axes=()):
@@ -187,17 +190,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header and an iterable of rows."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 def _map(fn, calls: list[tuple], workers: int) -> list:
@@ -211,33 +210,29 @@ def _map(fn, calls: list[tuple], workers: int) -> list:
     return [fn(*args) for args in calls]
 
 
-def cmd_train(config: RunConfig) -> int:
-    """Train the prep for the Ricker target at n, write prep_n{n}.json."""
+def cmd_train(config: RunConfig) -> tuple[dict, list[str]]:
+    """Train the prep for the Ricker target at n; its prep_n{n}.json is written by Checkpoint.save."""
     target = pipeline.ricker_state(config.n)
     ansatz = build_ansatz(config.n + 1, config.depth)
     pipeline.check_training_memory(ansatz.num_params, min(config.workers, config.restarts), 2 ** ansatz.num_qubits)
     seeds = range(config.seed, config.seed + config.restarts)
     runs = [(ansatz, target, OptimizerConfig(max_iters=config.iters, seed=s)) for s in seeds]
     result = min(_map(optimize, runs, config.workers), key=lambda r: r.cost)
-    checkpoint = Checkpoint.from_result(config.n, ansatz, result)
-    chart = config.svg and line_chart(
-        [Series("best cost", list(range(len(result.history))), [max(c, 1e-16) for c in result.history])],
-        title=f"prep training, n={config.n} (seed {result.seed})",
-        xlabel="iteration",
-        ylabel="best cost",
-        logy=True,
-    )
-    out = _out_dir(config)
-    path = out / f"prep_n{config.n}.json"
-    checkpoint.save(path)
-    if chart:
-        (out / f"train_history_n{config.n}.svg").write_text(chart)
-    print(
+    name = f"prep_n{config.n}.json"
+    files = {name: Checkpoint.from_result(config.n, ansatz, result).save}
+    if config.svg:
+        files[f"train_history_n{config.n}.svg"] = line_chart(
+            [Series("best cost", list(range(len(result.history))), [max(c, 1e-16) for c in result.history])],
+            title=f"prep training, n={config.n} (seed {result.seed})",
+            xlabel="iteration",
+            ylabel="best cost",
+            logy=True,
+        )
+    return files, [
         f"train n={config.n}: infidelity={result.infidelity:.3e} "
         f"cost={result.cost:.3e} grad_norm={result.grad_norm:.3e} iterations={result.iterations} "
-        f"converged={result.converged} ({result.message}) seed={result.seed} -> {path}"
-    )
-    return 0
+        f"converged={result.converged} ({result.message}) seed={result.seed} -> {Path(config.out) / name}"
+    ]
 
 
 def _evolve(config: RunConfig, p: float):
@@ -268,7 +263,7 @@ def _single_p(config: RunConfig) -> float:
     return config.p[0] if config.p else 0.0
 
 
-def cmd_evolve(config: RunConfig) -> int:
+def cmd_evolve(config: RunConfig) -> tuple[dict, list[str]]:
     """One evolution run; CSV of (x, exact |psi|^2, simulated |psi|^2, eps_mc)."""
     p = _single_p(config)
     if config.mode == "exact" and p > 0.0:
@@ -290,33 +285,33 @@ def cmd_evolve(config: RunConfig) -> int:
 
     xs = np.arange(N) / N
     stem = f"evolve_n{n}_t{t:g}" + (f"_p{p:g}" if p > 0 else "")
-    rows = [
+    rows = (  # a generator: the row strings never sit in memory beside the CSV text
         (f"{x:.8g}", f"{e:.10g}", f"{s:.10g}", f"{m:.10g}")
         for x, e, s, m in zip(xs, exact_probs, reported, eps_mc)
-    ]
-    label = f"sampled ({config.shots} shots)" if config.shots else "simulated"
-    chart = config.svg and line_chart(
-        [Series("exact", xs, exact_probs), Series(label, xs, reported, errs=eps_mc if config.shots else None)],
-        title=f"wavefield at t={t:g} (n={n}, mode={config.mode}" + (f", p={p:g})" if p > 0 else ")"),
-        xlabel="x",
-        ylabel="|psi|^2",
     )
-    out = _out_dir(config)
-    _write_csv(out / f"{stem}.csv", ["x", "exact_prob", "sim_prob", "eps_mc"], rows)
-    if chart:
-        (out / f"{stem}.svg").write_text(chart)
+    files = {f"{stem}.csv": _csv(["x", "exact_prob", "sim_prob", "eps_mc"], rows)}
+    if config.svg:
+        label = f"sampled ({config.shots} shots)" if config.shots else "simulated"
+        files[f"{stem}.svg"] = line_chart(
+            [Series("exact", xs, exact_probs), Series(label, xs, reported, errs=eps_mc if config.shots else None)],
+            title=f"wavefield at t={t:g} (n={n}, mode={config.mode}" + (f", p={p:g})" if p > 0 else ")"),
+            xlabel="x",
+            ylabel="|psi|^2",
+        )
     eps = state_infidelity(exact, state)
-    print(f"evolve n={n} t={t:g} mode={config.mode} p={p:g}: infidelity={eps:.3e} -> {out / stem}.csv")
-    return 0
+    return files, [f"evolve n={n} t={t:g} mode={config.mode} p={p:g}: infidelity={eps:.3e} "
+                   f"-> {Path(config.out) / stem}.csv"]
 
 
-def _sweep_points(config: RunConfig) -> int:
+def _sweep_points(config: RunConfig) -> tuple[dict, list[str]]:
     """Axes N and p (epsilon vs grid size, one curve per noise level) and t (epsilon vs time at one n and p)."""
     if config.axis == "t":
         p = _single_p(config)
         t_lo, t_hi = config.t_range or (0.1, 1.0)
+        span = (t_hi - t_lo) / config.dt  # a float, so a grid of 1e300 points is priced, never built
+        pipeline._refuse_beyond_memory((span + 1) * _ROW_BYTES, 1, "t sweep", f"of {span + 1:.3g} points")
         # the slack keeps an end point that dt divides up to rounding, e.g. 0.9 / 0.3 = 2.9999999999999996
-        steps = math.floor((t_hi - t_lo) / config.dt + 1e-9)
+        steps = math.floor(span + 1e-9)
         points = [(config.n, t_lo + i * config.dt, p) for i in range(steps + 1)]
         needs = f"a time > 0 on its grid, got {t_lo:g}:{t_hi:g} in steps of {config.dt:g}"
     else:
@@ -330,13 +325,17 @@ def _sweep_points(config: RunConfig) -> int:
         raise ValueError(f"sweep --axis {config.axis} needs {needs}: at t = 0 epsilon is 0")
     pipeline.check_memory(n_max, p_max > 0.0, min(config.workers, len(points)))
     rows = _map(pipeline.sweep_point, points, config.workers)
+    for r in rows:
+        if r.t > 0 and r.epsilon_model == 0:
+            raise ValueError(f"sweep --axis {config.axis} needs epsilon_model > 0 at every t > 0: "
+                             f"it underflows to 0 at n={r.n}, t={r.t:g}, where no log-log fit or chart can use it")
 
-    messages = []
+    report = []
     if config.axis == "t":
         fit_rows = [r for r in rows if r.t >= 0.1 and r.epsilon > 0]
         if len(fit_rows) >= 2:
             slope = pipeline.loglog_slope([r.t for r in fit_rows], [r.epsilon for r in fit_rows])
-            messages.append(f"slope vs t (t >= 0.1): {slope:.3f}")
+            report.append(f"slope vs t (t >= 0.1): {slope:.3f}")
         positive = [r for r in rows if r.epsilon > 0 and r.t > 0]
         series = [
             Series("measured", [r.t for r in positive], [r.epsilon for r in positive]),
@@ -351,12 +350,12 @@ def _sweep_points(config: RunConfig) -> int:
             series.append(Series(label, [r.N for r in chunk], [r.epsilon for r in chunk]))
             if p == 0 and len(chunk) >= 2:
                 slope = pipeline.loglog_slope([r.N for r in chunk], [r.epsilon for r in chunk])
-                messages.append(f"noiseless slope vs N: {slope:.3f}")
+                report.append(f"noiseless slope vs N: {slope:.3f}")
             elif p > 0:
                 eps = [r.epsilon for r in chunk]
                 argmin_n = ns[int(np.argmin(eps))]
                 interior = ns[0] < argmin_n < ns[-1]
-                messages.append(
+                report.append(
                     f"p={p:g}: min epsilon={min(eps):.3e} at n={argmin_n}"
                     + (" (interior)" if interior else " (at sweep edge)")
                 )
@@ -364,25 +363,17 @@ def _sweep_points(config: RunConfig) -> int:
         series.append(Series("model", [r.N for r in model], [r.epsilon_model for r in model]))
         title = f"infidelity vs N (t={config.t:g})"
 
-    chart = config.svg and line_chart(
-        series, title=title, xlabel="t" if config.axis == "t" else "N", ylabel="epsilon", logx=True, logy=True
-    )
-    out = _out_dir(config)
-    path = out / f"sweep_{config.axis}.csv"
-    _write_csv(
-        path,
-        [f.name for f in fields(pipeline.SweepRow)],
-        [tuple(f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)) for r in rows],
-    )
-    if chart:
-        (out / f"sweep_{config.axis}.svg").write_text(chart)
-    for message in messages:
-        print(message)
-    print(f"sweep axis={config.axis}: {len(rows)} rows -> {path}")
-    return 0
+    name = f"sweep_{config.axis}.csv"
+    files = {name: _csv([f.name for f in fields(pipeline.SweepRow)],
+                        (tuple(f"{v:.10g}" if isinstance(v, float) else v for v in astuple(r)) for r in rows))}
+    if config.svg:
+        files[f"sweep_{config.axis}.svg"] = line_chart(
+            series, title=title, xlabel="t" if config.axis == "t" else "N", ylabel="epsilon", logx=True, logy=True
+        )
+    return files, [*report, f"sweep axis={config.axis}: {len(rows)} rows -> {Path(config.out) / name}"]
 
 
-def _sweep_shots_axis(config: RunConfig) -> int:
+def _sweep_shots_axis(config: RunConfig) -> tuple[dict, list[str]]:
     if not config.shots_list:
         raise ValueError("empty shots axis")
     n, t = config.n, config.t
@@ -395,34 +386,30 @@ def _sweep_shots_axis(config: RunConfig) -> int:
         max_abs = float(np.max(np.abs(p_hat - probs)))
         eps_mc_max = float(np.max(np.sqrt(probs * (1.0 - probs) / shots)))
         rows.append((n, N, f"{t:g}", shots, f"{max_abs:.10g}", f"{eps_mc_max:.10g}"))
-    chart = config.svg and line_chart(
-        [
-            Series("max |p_hat - p|", list(config.shots_list), [float(r[4]) for r in rows]),
-            Series("max eps_mc", list(config.shots_list), [float(r[5]) for r in rows]),
-        ],
-        title=f"sampling error vs shots (n={n}, t={t:g})",
-        xlabel="shots",
-        ylabel="error",
-        logx=True,
-        logy=True,
-    )
-    out = _out_dir(config)
-    path = out / "sweep_shots.csv"
-    _write_csv(path, ["n", "N", "t", "shots", "max_abs_error", "eps_mc_max"], rows)
-    if chart:
-        (out / "sweep_shots.svg").write_text(chart)
-    print(f"sweep axis=shots: {len(rows)} rows -> {path}")
-    return 0
+    files = {"sweep_shots.csv": _csv(["n", "N", "t", "shots", "max_abs_error", "eps_mc_max"], rows)}
+    if config.svg:
+        files["sweep_shots.svg"] = line_chart(
+            [
+                Series("max |p_hat - p|", list(config.shots_list), [float(r[4]) for r in rows]),
+                Series("max eps_mc", list(config.shots_list), [float(r[5]) for r in rows]),
+            ],
+            title=f"sampling error vs shots (n={n}, t={t:g})",
+            xlabel="shots",
+            ylabel="error",
+            logx=True,
+            logy=True,
+        )
+    return files, [f"sweep axis=shots: {len(rows)} rows -> {Path(config.out) / 'sweep_shots.csv'}"]
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(config: RunConfig) -> tuple[dict, list[str]]:
     for f in fields(config):
         if config.axis not in f.metadata["axes"] and getattr(config, f.name) != f.default:
             raise ValueError(f"sweep --axis {config.axis} does not read option {f.name!r}")
     return _sweep_shots_axis(config) if config.axis == "shots" else _sweep_points(config)
 
 
-def cmd_gatecount(config: RunConfig) -> int:
+def cmd_gatecount(config: RunConfig) -> tuple[dict, list[str]]:
     """Lowered tallies over an n range, plus quadratic fits of the two-qubit counts."""
     t = config.t
     if t <= 0:
@@ -433,32 +420,26 @@ def cmd_gatecount(config: RunConfig) -> int:
     for n in ns:
         ansatz = build_ansatz(n + 1, config.depth)  # zero angles: the gate counts of any trained prep
         rows.append(pipeline.gate_count_row(n, t, ansatz_to_circuit(ansatz, np.zeros(ansatz.num_params))))
-    fits = {}
+    fits, report = {}, []
     for series_name in ("two_qubit_evolution", "two_qubit_with_prep"):
         coeffs, r2 = quadratic_fit(ns, [r[series_name] for r in rows])
         fits[series_name] = {"a": coeffs[0], "b": coeffs[1], "c": coeffs[2], "r_squared": r2}
-        print(
-            f"{series_name}: {coeffs[0]:.4g} n^2 + {coeffs[1]:.4g} n + {coeffs[2]:.4g}"
-            f"  (R^2 = {r2:.6f})"
-        )
-    chart = config.svg and line_chart(
-        [
-            Series("evolution", ns, [r["two_qubit_evolution"] for r in rows]),
-            Series("with prep", ns, [r["two_qubit_with_prep"] for r in rows]),
-        ],
-        title=f"two-qubit gates vs n (t={t:g})",
-        xlabel="n",
-        ylabel="two-qubit gates",
-    )
-    out = _out_dir(config)
+        report.append(f"{series_name}: {coeffs[0]:.4g} n^2 + {coeffs[1]:.4g} n + {coeffs[2]:.4g}"
+                      f"  (R^2 = {r2:.6f})")
     header = list(rows[0].keys())
-    path = out / "gatecounts.csv"
-    _write_csv(path, header, [tuple(r[k] for k in header) for r in rows])
-    (out / "gatecount_fit.json").write_text(json.dumps(fits, indent=2) + "\n")
-    if chart:
-        (out / "gatecounts.svg").write_text(chart)
-    print(f"gatecount: {len(rows)} rows -> {path}")
-    return 0
+    files = {"gatecounts.csv": _csv(header, (tuple(r[k] for k in header) for r in rows)),
+             "gatecount_fit.json": json.dumps(fits, indent=2) + "\n"}
+    if config.svg:
+        files["gatecounts.svg"] = line_chart(
+            [
+                Series("evolution", ns, [r["two_qubit_evolution"] for r in rows]),
+                Series("with prep", ns, [r["two_qubit_with_prep"] for r in rows]),
+            ],
+            title=f"two-qubit gates vs n (t={t:g})",
+            xlabel="n",
+            ylabel="two-qubit gates",
+        )
+    return files, [*report, f"gatecount: {len(rows)} rows -> {Path(config.out) / 'gatecounts.csv'}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,10 +469,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, then create --out, write its files (text, or a writer of a path) and print its report."""
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
-        return args.func(config)
+        files, report = args.func(config)
+        out = Path(config.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if callable(content):
+                content(out / name)
+            else:
+                (out / name).write_text(content, newline="")
+        print(*report, sep="\n")
+        return 0
     except (ValueError, argparse.ArgumentTypeError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -487,12 +487,32 @@ def test_grid_sweeps_refuse_a_time_without_dispersion(tmp_path, capsys, axis, gr
 
 
 @pytest.mark.parametrize("axis_args", [["--axis", "t", "--n", "4", "--t-range", "1e-300:1e-300"],
-                                       ["--axis", "N", "--n-range", "2:3", "--t", "1e-300"]])
+                                       ["--axis", "N", "--n-range", "2:3", "--t", "1e-300"],
+                                       ["--axis", "t", "--n", "4", "--t-range", "1e-300:1e-300", "--no-svg"],
+                                       ["--axis", "N", "--n-range", "2:3", "--t", "1e-300", "--no-svg"]])
 def test_a_chart_that_cannot_be_drawn_refuses_the_run_before_out_exists(tmp_path, capsys, axis_args):
-    # every epsilon_model underflows to 0, so the chart's log axis has no positive point to place
+    # every epsilon_model underflows to 0: no log axis can place it and no fit may use it, chart or not
     out = tmp_path / "run"
     assert cli.main(["sweep", *axis_args, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: log axis needs positive data\n"
+    axis, n = axis_args[1], axis_args[3].partition(":")[0]
+    assert capsys.readouterr().err == (
+        f"error: sweep --axis {axis} needs epsilon_model > 0 at every t > 0: it underflows to 0 "
+        f"at n={n}, t=1e-300, where no log-log fit or chart can use it\n"
+    )
+    assert not out.exists()
+
+
+def test_a_t_sweep_refuses_a_grid_beyond_physical_memory_before_any_point(tmp_path, capsys, monkeypatch):
+    # 10,000 points of cli._ROW_BYTES each need about 10 MiB; a noiseless point at n = 4 needs 5.5 KiB
+    monkeypatch.setattr(pipeline, "PHYSICAL_MEMORY", 2 ** 20)
+    monkeypatch.setattr(cli, "_map", lambda fn, calls, workers: pytest.fail("ran a point"))
+    out = tmp_path / "run"
+    assert cli.main(["sweep", "--axis", "t", "--n", "4", "--t-range", "0.0001:1", "--dt", "1e-4",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: a t sweep of 1e+04 points needs about {1e4 * cli._ROW_BYTES / 2 ** 30:.3g} GiB of working "
+        "arrays, more than the 0.000977 GiB of physical memory\n"
+    )
     assert not out.exists()
 
 
@@ -675,6 +695,35 @@ def test_gatecount_fits_before_it_writes(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ entry point
+
+
+_SMALL_RUNS = {  # id: a small run of every command and sweep axis
+    "train": ["train", "--n", "2", "--iters", "3", "--restarts", "1"],
+    "evolve": ["evolve", "--n", "3"],
+    "sweep-N": ["sweep", "--axis", "N", "--n-range", "2:3"],
+    "sweep-p": ["sweep", "--axis", "p", "--n-range", "2:3", "--p", "1e-3"],
+    "sweep-t": ["sweep", "--axis", "t", "--n", "2", "--t-range", "0.2:0.4", "--dt", "0.2"],
+    "sweep-shots": ["sweep", "--axis", "shots", "--n", "2", "--shots-list", "10,100"],
+    "gatecount": ["gatecount", "--n-range", "2:4"],
+}
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS.values(), ids=_SMALL_RUNS.keys())
+def test_commands_return_their_files_and_only_main_writes_them(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+    files, report = args.func(cli.resolve_config(args))
+    assert list(tmp_path.iterdir()) == []  # the command wrote nothing, --out included
+    assert report and all(isinstance(line, str) for line in report)
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    for name, content in files.items():
+        assert callable(content) or (out / name).read_bytes() == content.encode()
+    assert cli.main([*argv, "--out", str(tmp_path / "no-svg"), "--no-svg"]) == 0
+    written = {p.name: p.read_bytes() for p in (tmp_path / "no-svg").iterdir()}
+    assert written == {name: (out / name).read_bytes() for name in files if not name.endswith(".svg")}
+    capsys.readouterr()
 
 
 def test_importing_the_cli_does_not_load_scipy_optimize():
